@@ -83,6 +83,23 @@ def _subset_key(S, d: int) -> tuple[int, ...]:
     return idx
 
 
+def _weights(values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, clamped) probabilities that must total 1. Entries in
+    [-PMF_CLAMP, 0) are floating dust and clamped to 0 in the second copy;
+    the raw copy keeps real violations visible for the certificate."""
+    raw = np.array(values, dtype=float).reshape(-1)
+    if abs(float(raw.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"{what} sum to {raw.sum()!r}, not 1")
+    return raw, np.where((raw < 0.0) & (raw >= -PMF_CLAMP), 0.0, raw)
+
+
+def _draw_categorical(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n indices into ``p`` by inversion of its cumulative sums."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(n), side="right")
+
+
 def _moment_transform(pmf_flat: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """All normalized mixed moments at once.
 
@@ -107,15 +124,14 @@ class BernoulliSpec:
 
     def __init__(self, pis: np.ndarray):
         self.pi = np.asarray(pis, dtype=float)
-        if np.any(self.pi <= 0.0) or np.any(self.pi >= 1.0):
+        if not np.all((self.pi > 0.0) & (self.pi < 1.0)):  # also rejects NaN
             raise ValueError("all margins must lie strictly inside (0,1)")
         self.d = int(self.pi.size)
         self._theta_cache: dict[tuple[int, ...], float] = {}
         self._mask_cache: dict[int, float] | None = None
 
     # hooks ---------------------------------------------------------------
-    def pmf_table(self) -> np.ndarray:
-        """Flat pmf over {0,1}^d; only available for d <= MAX_FULL_PMF_D."""
+    def _pmf_table(self) -> np.ndarray:
         raise NotImplementedError
 
     def _moment(self, idx: tuple[int, ...]) -> float:
@@ -127,7 +143,36 @@ class BernoulliSpec:
     def admissibility_check(self) -> AdmissibilityCertificate:
         raise NotImplementedError
 
+    def orthant_terms(self, kappas, num=float) -> list[tuple[int, object, object]]:
+        """(|S|, theta_S, prod_{m in S} kappas[m]) for every stored theta_S.
+
+        ``num`` (``Fraction`` or ``float``) fixes the arithmetic, so the
+        exact and the float orthant coefficients share this one body.
+        """
+        return [
+            (mask.bit_count(), num(th),
+             math.prod((kappas[m] for m in range(self.d) if (mask >> m) & 1), start=num(1)))
+            for mask, th in self.thetas_by_mask().items()
+        ]
+
     # shared --------------------------------------------------------------
+    def pmf_table(self) -> np.ndarray:
+        """Flat pmf over {0,1}^d; only available for d <= MAX_FULL_PMF_D."""
+        if self.d > MAX_FULL_PMF_D:
+            raise DimensionTooLarge(
+                f"pmf materialization needs d <= {MAX_FULL_PMF_D}, got {self.d}"
+            )
+        return self._pmf_table()
+
+    def _certificate(self, violations=(), note: str = "") -> AdmissibilityCertificate:
+        """Certificate that passes iff ``violations`` is empty."""
+        return AdmissibilityCertificate(
+            passed=not violations, kind=self.kind, pis=tuple(self.pi),
+            violations=list(violations),
+            pmf=self.pmf_table() if self.d <= MAX_FULL_PMF_D else None,
+            note=note,
+        )
+
     def mixed_moment(self, S) -> float:
         """theta_S for a subset of 1-based margin indices, |S| >= 2."""
         idx = _subset_key(S, self.d)
@@ -138,10 +183,6 @@ class BernoulliSpec:
     def thetas_by_mask(self, drop_below: float = 1e-15) -> dict[int, float]:
         """{subset mask: theta_S} for |S| >= 2, tiny values dropped."""
         if self._mask_cache is None:
-            if self.d > MAX_FULL_PMF_D:
-                raise DimensionTooLarge(
-                    f"subset enumeration needs d <= {MAX_FULL_PMF_D}, got {self.d}"
-                )
             all_t = _moment_transform(self.pmf_table(), self.pi)
             out: dict[int, float] = {}
             for mask in range(1, 1 << self.d):
@@ -181,11 +222,7 @@ class FullPmfSpec(BernoulliSpec):
             raise ValueError(f"pmf length {pmf.size} is not a power of two")
         if d > MAX_FULL_PMF_D:
             raise DimensionTooLarge(f"full pmf supports d <= {MAX_FULL_PMF_D}, got {d}")
-        if abs(float(pmf.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"pmf sums to {pmf.sum()!r}, not 1")
-        # clamp floating dust, keep real violations visible for the certificate
-        self._raw = pmf.copy()
-        pmf = np.where((pmf < 0.0) & (pmf >= -PMF_CLAMP), 0.0, pmf)
+        self._raw, pmf = _weights(pmf, "pmf entries")
         self._pmf = pmf
         states = np.arange(pmf.size)
         derived = np.array([pmf[(states >> m) & 1 == 1].sum() for m in range(d)])
@@ -195,7 +232,7 @@ class FullPmfSpec(BernoulliSpec):
                 raise ValueError("declared margins disagree with the pmf margins")
         super().__init__(derived)
 
-    def pmf_table(self) -> np.ndarray:
+    def _pmf_table(self) -> np.ndarray:
         return self._pmf
 
     def _moment(self, idx):
@@ -208,20 +245,14 @@ class FullPmfSpec(BernoulliSpec):
         return float(np.dot(self._pmf, factor))
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        bad = [
+        return self._certificate([
             (state_bitstring(s, self.d), float(v))
             for s, v in enumerate(self._raw)
             if v < -PMF_CLAMP
-        ]
-        return AdmissibilityCertificate(
-            passed=not bad, kind=self.kind, pis=tuple(self.pi),
-            violations=bad, pmf=self._pmf,
-        )
+        ])
 
     def _sample(self, n, rng):
-        cum = np.cumsum(self._pmf)
-        cum[-1] = 1.0
-        states = np.searchsorted(cum, rng.random(n), side="right")
+        states = _draw_categorical(self._pmf, n, rng)
         return ((states[:, None] >> np.arange(self.d)[None, :]) & 1).astype(np.uint8)
 
 
@@ -246,7 +277,6 @@ class BivariateThetaSpec(FullPmfSpec):
 
     def admissibility_check(self) -> AdmissibilityCertificate:
         cert = super().admissibility_check()
-        cert.kind = self.kind
         cert.theta_interval = theta_range_bivariate(self.pi[0], self.pi[1])
         lo, hi = cert.theta_interval
         if not cert.passed:
@@ -268,10 +298,7 @@ class ExchangeableSumSpec(BernoulliSpec):
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size < 3:
             raise ValueError("need w_0..w_d with d >= 2")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"sum weights must total 1, got {w.sum()!r}")
-        self._raw_w = w.copy()
-        self.w = np.where((w < 0.0) & (w >= -PMF_CLAMP), 0.0, w)
+        self._raw_w, self.w = _weights(w, "sum weights")
         d = w.size - 1
         pi = float(np.dot(np.arange(d + 1), self.w)) / d
         super().__init__(np.full(d, pi))
@@ -298,9 +325,16 @@ class ExchangeableSumSpec(BernoulliSpec):
     def _moment(self, idx):
         return float(self.theta_k_exact(len(idx)))
 
-    def pmf_table(self) -> np.ndarray:
-        if self.d > MAX_FULL_PMF_D:
-            raise DimensionTooLarge(f"pmf materialization needs d <= {MAX_FULL_PMF_D}")
+    def orthant_terms(self, kappas, num=float):
+        # theta_S depends on |S| only, so the kappa products over all subsets
+        # of size k collapse into the elementary symmetric polynomial e_k
+        e = [num(1)] + [num(0)] * self.d
+        for x in kappas:
+            for k in range(self.d, 0, -1):
+                e[k] = e[k] + x * e[k - 1]
+        return [(k, num(self.theta_k_exact(k)), e[k]) for k in range(2, self.d + 1)]
+
+    def _pmf_table(self) -> np.ndarray:
         states = np.arange(1 << self.d)
         ones = np.array([int(s).bit_count() for s in states])
         denom = np.array([math.comb(self.d, j) for j in range(self.d + 1)], dtype=float)
@@ -312,18 +346,13 @@ class ExchangeableSumSpec(BernoulliSpec):
         return bool(np.max(np.abs(self.w - self.w[::-1])) <= 1e-12)
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        bad = [(f"w_{j}", float(v)) for j, v in enumerate(self._raw_w) if v < -PMF_CLAMP]
-        return AdmissibilityCertificate(
-            passed=not bad, kind=self.kind, pis=tuple(self.pi),
-            violations=bad,
-            pmf=self.pmf_table() if self.d <= MAX_FULL_PMF_D else None,
+        return self._certificate(
+            [(f"w_{j}", float(v)) for j, v in enumerate(self._raw_w) if v < -PMF_CLAMP],
             note="admissibility for an exchangeable sum law is w_j >= 0",
         )
 
     def _sample(self, n, rng):
-        cum = np.cumsum(self.w)
-        cum[-1] = 1.0
-        j = np.searchsorted(cum, rng.random(n), side="right")
+        j = _draw_categorical(self.w, n, rng)
         scores = rng.random((n, self.d))
         ranks = scores.argsort(axis=1).argsort(axis=1)
         return (ranks < j[:, None]).astype(np.uint8)
@@ -340,9 +369,7 @@ class IndependentSpec(BernoulliSpec):
     def thetas_by_mask(self, drop_below: float = 1e-15) -> dict[int, float]:
         return {}
 
-    def pmf_table(self) -> np.ndarray:
-        if self.d > MAX_FULL_PMF_D:
-            raise DimensionTooLarge(f"pmf materialization needs d <= {MAX_FULL_PMF_D}")
+    def _pmf_table(self) -> np.ndarray:
         states = np.arange(1 << self.d)
         pmf = np.ones(states.size)
         for m in range(self.d):
@@ -351,11 +378,7 @@ class IndependentSpec(BernoulliSpec):
         return pmf
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        return AdmissibilityCertificate(
-            passed=True, kind=self.kind, pis=tuple(self.pi),
-            pmf=self.pmf_table() if self.d <= MAX_FULL_PMF_D else None,
-            note="product law; nonnegative by construction",
-        )
+        return self._certificate(note="product law; nonnegative by construction")
 
     def _sample(self, n, rng):
         return (rng.random((n, self.d)) <= self.pi[None, :]).astype(np.uint8)
@@ -384,9 +407,7 @@ class ComonotoneSpec(BernoulliSpec):
             prev = upper
         return float(total)
 
-    def pmf_table(self) -> np.ndarray:
-        if self.d > MAX_FULL_PMF_D:
-            raise DimensionTooLarge(f"pmf materialization needs d <= {MAX_FULL_PMF_D}")
+    def _pmf_table(self) -> np.ndarray:
         order = np.argsort(-self.pi, kind="stable")  # descending pi
         levels = np.concatenate(([1.0], self.pi[order], [0.0]))
         pmf = np.zeros(1 << self.d)
@@ -400,11 +421,7 @@ class ComonotoneSpec(BernoulliSpec):
         return pmf
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        return AdmissibilityCertificate(
-            passed=True, kind=self.kind, pis=tuple(self.pi),
-            pmf=self.pmf_table() if self.d <= MAX_FULL_PMF_D else None,
-            note="comonotone coupling; nonnegative by construction",
-        )
+        return self._certificate(note="comonotone coupling; nonnegative by construction")
 
     def _sample(self, n, rng):
         v = rng.random(n)

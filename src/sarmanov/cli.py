@@ -90,18 +90,23 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _powered_payload(valid: bool, a: float, interval, note: str, r=None, pis=None) -> dict:
+    """Certificate of a powered configuration; ``r`` and ``pis`` only when it was built."""
+    payload = {
+        "valid": valid, "kind": "powered", "r": r, "a": a,
+        "sufficient_interval": list(interval), "sufficient_only": True,
+        "note": note, "pis": pis,
+    }
+    return {key: val for key, val in payload.items() if val is not None}
+
+
 def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
     if isinstance(model, PoweredCopula):
-        payload = {
-            "valid": True,
-            "kind": "powered",
-            "r": model.r,
-            "a": model.a,
-            "sufficient_interval": list(model.sufficient_interval),
-            "sufficient_only": True,
-            "note": "interval from the transformed kernels; the true range may be wider",
-            "pis": [p.pi for p in model.base.margins],
-        }
+        payload = _powered_payload(
+            True, model.a, model.sufficient_interval,
+            "interval from the transformed kernels; the true range may be wider",
+            r=model.r, pis=[p.pi for p in model.base.margins],
+        )
         return payload, True
     cert = model.bern.admissibility_check()
     payload = {
@@ -114,7 +119,7 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
     if cfg.d == 2:
         payload["theta"] = model.theta
         payload["theta_interval"] = list(cert.theta_interval) if cert.theta_interval else None
-        ks = cfg.margin_kernels()
+        ks = [p.base_kernel for p in model.margins]
         if all(k is not None for k in ks):
             payload["a"] = model.a
             payload["a_interval"] = list(admissible_a_interval(ks[0], ks[1]))
@@ -130,11 +135,7 @@ def cmd_validate(args) -> int:
     try:
         model = cfg.build()
     except NotAdmissibleForTransformed as e:
-        payload = {
-            "valid": False, "kind": "powered", "a": e.a,
-            "sufficient_interval": list(e.interval), "sufficient_only": True,
-            "note": str(e),
-        }
+        payload = _powered_payload(False, e.a, e.interval, str(e))
         _write(json.dumps(payload, indent=2) + "\n", args.out)
         return 1
     payload, ok = _certificate_payload(cfg, model)
@@ -168,25 +169,25 @@ def cmd_bounds(args) -> int:
         "rho_global": [-0.75, 0.75],
         "rho_global_attained_by": measures.rho_global_bounds().attained_by,
     }
-    ks = cfg.margin_kernels()
+    ks = [p.base_kernel for p in pairs]
     if all(k is not None for k in ks):
         payload["a_interval"] = list(admissible_a_interval(ks[0], ks[1]))
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def _draw(cfg: CopulaConfig, model, n: int, seed: int):
-    if isinstance(model, PoweredCopula):
-        return sample_powered(model, n, seed, copula_id=cfg.canonical_hash())
-    return sample(model, n, seed, copula_id=cfg.canonical_hash())
-
-
-def cmd_sample(args) -> int:
+def _draw(args):
+    """(config, model, batch) with --n/--seed overriding the config's n and seed."""
     cfg = _load_config(args.config)
     model = cfg.build()
     n = args.n if args.n is not None else cfg.n
     seed = args.seed if args.seed is not None else cfg.seed
-    batch = _draw(cfg, model, n, seed)
+    draw = sample_powered if isinstance(model, PoweredCopula) else sample
+    return cfg, model, draw(model, n, seed, copula_id=cfg.canonical_hash())
+
+
+def cmd_sample(args) -> int:
+    cfg, _, batch = _draw(args)
     header = ",".join(f"u{m + 1}" for m in range(batch.d))
     body = "\n".join(",".join(f"{x:.17g}" for x in row) for row in batch.rows)
     _write(header + "\n" + body + "\n", args.out)
@@ -203,11 +204,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    cfg = _load_config(args.config)
-    model = cfg.build()
-    n = args.n if args.n is not None else cfg.n
-    seed = args.seed if args.seed is not None else cfg.seed
-    batch = _draw(cfg, model, n, seed)
+    _, model, batch = _draw(args)
     analytic_model = model if isinstance(model, SarmanovCopula) else None
     rep = measures.empirical_measures(batch, analytic_model)
     if args.format == "csv":
@@ -257,44 +254,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list the kernel catalog")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_catalog)
+    def command(name, fn, help_text, config=True):
+        p = sub.add_parser(name, help=help_text)
+        if config:
+            p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("validate", help="admissibility certificate for a configuration")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p = command("catalog", cmd_catalog, "list the kernel catalog", config=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p = command("validate", cmd_validate, "admissibility certificate for a configuration")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv exports the latent pmf as (state bitstring, probability)")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("bounds", help="admissible parameter and rho ranges (d = 2)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("sample", help="draw samples to CSV (plus .meta.json sidecar)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("measure", help="analytic vs empirical dependence report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    command("bounds", cmd_bounds, "admissible parameter and rho ranges (d = 2)")
+    for name, fn, help_text in (
+        ("sample", cmd_sample, "draw samples to CSV (plus .meta.json sidecar)"),
+        ("measure", cmd_measure, "analytic vs empirical dependence report"),
+    ):
+        p = command(name, fn, help_text)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+    # measure (the last of the two) also renders csv
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv renders the comparison table (analytic|empirical|se|z)")
-    p.set_defaults(fn=cmd_measure)
-
-    p = sub.add_parser("certify", help="brute-force rectangle-increment oracle report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p = command("certify", cmd_certify, "brute-force rectangle-increment oracle report")
     p.add_argument("--grid", type=int, default=None)
-    p.set_defaults(fn=cmd_certify)
     return parser
 
 

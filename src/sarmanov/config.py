@@ -192,7 +192,7 @@ class CopulaConfig:
         if self.d == 2:
             theta = self.theta
             if theta is None:
-                ks = self.margin_kernels()
+                ks = [p.base_kernel for p in pairs]
                 if any(k is None for k in ks):
                     raise ConfigError("'a' needs kernel margins; give 'theta' for explicit pairs")
                 theta = self.a / (ks[0].Lambda * ks[1].Lambda)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernoulli import BernoulliSpec, BivariateThetaSpec
+from .bernoulli import MAX_FULL_PMF_D, BernoulliSpec, BivariateThetaSpec
 from .calibration import CalibratedPair, calibrate_from_kernel
 from .errors import (
     DegenerateKernel,
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .kernels import Kernel, catalog_lookup, custom_kernel
 
-MAX_EVAL_D = 20
 ORACLE_TOL = -1e-9  # rounding allowance for 2^d-term alternating sums
 
 
@@ -107,8 +106,8 @@ class SarmanovCopula:
             pts = pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} columns")
-        if self.d > MAX_EVAL_D:
-            raise DimensionTooLarge(f"cdf evaluation supports d <= {MAX_EVAL_D}")
+        if self.d > MAX_FULL_PMF_D:
+            raise DimensionTooLarge(f"cdf evaluation supports d <= {MAX_FULL_PMF_D}")
         thetas = self.bern.thetas_by_mask()
         out = np.prod(pts, axis=1)
         if thetas:
@@ -314,12 +313,7 @@ def _transform_generic(k: Kernel, r: int) -> Kernel:
             y = np.asarray(x, dtype=float) ** r
             return (1.0 - r) * np.asarray(h(y), dtype=float) + r * np.asarray(k.phi(y), dtype=float)
 
-    kt = custom_kernel(g_t, phi=phi_t)
-    return Kernel(
-        id=f"{k.id}^<{r}>", params=dict(k.params),
-        g=g_t, phi=kt.phi, Lambda=kt.Lambda, lam=kt.lam, kappa=kt.kappa,
-        sign_constant=kt.sign_constant,
-    )
+    return replace(custom_kernel(g_t, phi=phi_t), id=f"{k.id}^<{r}>", params=dict(k.params))
 
 
 def normalized_kernel(k: Kernel) -> Callable:
@@ -382,8 +376,7 @@ def build_powered(k1: Kernel, k2: Kernel, a: float, r: int) -> PoweredCopula:
     slack = 1e-12 * max(1.0, abs(interval[0]), abs(interval[1]))
     if not (interval[0] - slack <= a <= interval[1] + slack):
         raise NotAdmissibleForTransformed(a, interval)
-    theta = a / (t1.Lambda * t2.Lambda)
-    base = make_bivariate(t1, t2, theta=theta)
+    base = make_bivariate(t1, t2, a=a)
     return PoweredCopula(
         h1=normalized_kernel(k1), h2=normalized_kernel(k2),
         a=float(a), r=r, base=base, transformed=(t1, t2),

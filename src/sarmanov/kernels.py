@@ -34,7 +34,7 @@ from .errors import (
     UnboundedDerivative,
     UnknownKernel,
 )
-from .numerics import gradient_on_grid, quad01, scan_extrema, sign_changes
+from .numerics import quad01, scan_extrema, sign_changes, tabulated_slope
 
 ANCHOR_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
@@ -434,17 +434,13 @@ def numeric_slope_bounds(k: Kernel, n_grid: int = 200_001) -> tuple[float, float
     Independent of the stored analytic values; used to cross-check every
     catalog row.
     """
-    phi = k.phi if k.phi is not None else _numeric_phi_from_callable(k.g, n_grid)
-    sup, inf = scan_extrema(phi, n_grid)
+    if k.phi is not None:
+        sup, inf = scan_extrema(k.phi, n_grid)
+    else:
+        _, sup, inf = tabulated_slope(k.g(np.linspace(0.0, 1.0, n_grid)))
     if sup <= 0 or inf >= 0:
         raise DegenerateKernel(f"kernel {k.id} has one-signed derivative")
     return 1.0 / sup, 1.0 / inf
-
-
-def _numeric_phi_from_callable(g: Callable, n_grid: int) -> Callable:
-    xs = np.linspace(0.0, 1.0, n_grid)
-    phi_vals = gradient_on_grid(np.asarray(g(xs), dtype=float))
-    return lambda u, xs=xs, pv=phi_vals: np.interp(u, xs, pv)
 
 
 def custom_kernel(
@@ -455,9 +451,11 @@ def custom_kernel(
     """Kernel from a user-supplied map: a callable on [0, 1] or values
     tabulated on a uniform grid.
 
-    Slope bounds come from dense-grid extremization (with golden-section
-    refinement for callables); kappa from adaptive quadrature (trapezoid for
-    tabulated input). The zero kernel is allowed and flagged degenerate.
+    Slope bounds come from dense-grid extremization of ``phi`` (with
+    golden-section refinement) when it is given, otherwise from second-order
+    differences of g tabulated on the grid; kappa from adaptive quadrature
+    (trapezoid for tabulated input). The zero kernel is allowed and flagged
+    degenerate.
 
     Raises NotAnchored when g(0) or g(1) is nonzero beyond 1e-9, and
     UnboundedDerivative when difference-quotient extremes keep growing
@@ -487,17 +485,12 @@ def custom_kernel(
         )
 
     if phi is not None:
-        phi_fn = phi
-        sup, inf = scan_extrema(phi_fn, n_grid)
+        sup, inf = scan_extrema(phi, n_grid)
     elif tabulated is not None:
-        phi_vals = gradient_on_grid(tabulated)
-        xs = np.linspace(0.0, 1.0, tabulated.size)
-        phi_fn = lambda u, xs=xs, pv=phi_vals: np.interp(u, xs, pv)  # noqa: E731
-        sup, inf = float(np.max(phi_vals)), float(np.min(phi_vals))
+        phi, sup, inf = tabulated_slope(tabulated)
     else:
         _check_bounded_derivative(g_fn)
-        phi_fn = _numeric_phi_from_callable(g_fn, n_grid)
-        sup, inf = scan_extrema(phi_fn, n_grid, refine=False)
+        phi, sup, inf = tabulated_slope(g_fn(np.linspace(0.0, 1.0, n_grid)))
 
     if sup <= 0 or inf >= 0:
         raise DegenerateKernel("derivative does not take both signs; g cannot anchor at 0 and 1")
@@ -507,7 +500,7 @@ def custom_kernel(
     else:
         kappa = float(np.trapezoid(tabulated, dx=1.0 / (tabulated.size - 1)))
     return Kernel(
-        "custom", {}, g=g_fn, phi=phi_fn,
+        "custom", {}, g=g_fn, phi=phi,
         Lambda=1.0 / sup, lam=1.0 / inf, kappa=kappa,
         sign_constant=not sign_changes(g_fn),
     )

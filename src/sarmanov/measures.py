@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
+from .bernoulli import MAX_FULL_PMF_D
 from .copula import SarmanovCopula
 from .errors import BatchTooSmall, DimensionTooLarge
 from .sampling import SampleBatch
@@ -32,42 +33,64 @@ SE_GROUPS = 40  # disjoint sections used for standard errors
 
 
 # --- closed forms ------------------------------------------------------------
+# Each formula takes the number type: ``Fraction`` (None when a kernel area is
+# not rational) or ``float``. The public pairs prefer the exact value and
+# round it once.
 
 
-def _theta12_exact(c: SarmanovCopula) -> Fraction:
-    return Fraction(c.bern.mixed_moment((1, 2)))
+def _kappas(c: SarmanovCopula, num) -> list | None:
+    if num is float:
+        return [p.induced.kappa for p in c.margins]
+    kex = [p.induced.kappa_exact for p in c.margins]
+    return None if any(k is None for k in kex) else kex
+
+
+def _spearman(c: SarmanovCopula, num):
+    if c.d != 2:
+        raise ValueError("bivariate measure")
+    ks = _kappas(c, num)
+    return None if ks is None else 12 * num(c.bern.mixed_moment((1, 2))) * ks[0] * ks[1]
+
+
+def _kendall(c: SarmanovCopula, num):
+    rho = _spearman(c, num)
+    return None if rho is None else num(2) / num(3) * rho
+
+
+def _orthant(c: SarmanovCopula, num):
+    d = c.d
+    if d > MAX_FULL_PMF_D:
+        raise DimensionTooLarge(f"orthant coefficients need d <= {MAX_FULL_PMF_D}")
+    kappas = _kappas(c, num)
+    if kappas is None:
+        return None
+    terms = c.bern.orthant_terms(kappas, num)
+    coef = num(d + 1) / num((1 << d) - (d + 1))
+    lo = sum((num(2) ** k * th * ks for k, th, ks in terms), num(0))
+    hi = sum((num(-2) ** k * th * ks for k, th, ks in terms), num(0))
+    return coef * lo, coef * hi
 
 
 def spearman_analytic_exact(c: SarmanovCopula) -> Fraction | None:
     """Exact rational Spearman rho, when the kernel areas are rational."""
-    if c.d != 2:
-        raise ValueError("bivariate measure")
-    k1, k2 = c.margins[0].induced, c.margins[1].induced
-    if k1.kappa_exact is None or k2.kappa_exact is None:
-        return None
-    return 12 * _theta12_exact(c) * k1.kappa_exact * k2.kappa_exact
+    return _spearman(c, Fraction)
 
 
 def spearman_analytic(c: SarmanovCopula) -> float:
     """rho_S = 12 * theta * kappahat_1 * kappahat_2 (d = 2)."""
-    exact = spearman_analytic_exact(c)
-    if exact is not None:
-        return float(exact)
-    return 12.0 * c.theta * c.margins[0].induced.kappa * c.margins[1].induced.kappa
+    exact = _spearman(c, Fraction)
+    return _spearman(c, float) if exact is None else float(exact)
 
 
 def kendall_analytic_exact(c: SarmanovCopula) -> Fraction | None:
-    rho = spearman_analytic_exact(c)
-    return None if rho is None else Fraction(2, 3) * rho
+    return _kendall(c, Fraction)
 
 
 def kendall_analytic(c: SarmanovCopula) -> float:
     """tau = (2/3) * rho_S; the two concordance measures are locked together
     for every separable perturbation of independence."""
-    exact = kendall_analytic_exact(c)
-    if exact is not None:
-        return float(exact)
-    return 2.0 / 3.0 * spearman_analytic(c)
+    exact = _kendall(c, Fraction)
+    return _kendall(c, float) if exact is None else float(exact)
 
 
 @dataclass(frozen=True)
@@ -81,67 +104,17 @@ def rho_global_bounds() -> GlobalRhoBounds:
     return GlobalRhoBounds()
 
 
-def _orthant_terms(c: SarmanovCopula, exact: bool):
-    """(coefficient, iterable of (|S|, theta_S, kappa_S)) for the orthant sums."""
-    d = c.d
-    if d > 20:
-        raise DimensionTooLarge("orthant coefficients need d <= 20")
-    kex = [p.induced.kappa_exact for p in c.margins]
-    if exact and any(k is None for k in kex):
-        return None
-    kappas = kex if exact else [p.induced.kappa for p in c.margins]
-
-    from .bernoulli import ExchangeableSumSpec, IndependentSpec
-
-    terms = []
-    if isinstance(c.bern, IndependentSpec):
-        pass
-    elif isinstance(c.bern, ExchangeableSumSpec):
-        # elementary symmetric polynomials e_k of the kappas
-        e = [Fraction(1) if exact else 1.0] + [Fraction(0) if exact else 0.0] * d
-        for x in kappas:
-            for k in range(d, 0, -1):
-                e[k] = e[k] + x * e[k - 1]
-        for k in range(2, d + 1):
-            th = c.bern.theta_k_exact(k) if exact else float(c.bern.theta_k_exact(k))
-            terms.append((k, th, e[k]))
-    else:
-        thetas = c.bern.thetas_by_mask()
-        for mask, th in thetas.items():
-            ks = Fraction(1) if exact else 1.0
-            size = 0
-            for m in range(d):
-                if (mask >> m) & 1:
-                    ks *= kappas[m]
-                    size += 1
-            terms.append((size, Fraction(th) if exact else th, ks))
-    coef = (
-        Fraction(d + 1, (1 << d) - (d + 1))
-        if exact else (d + 1) / ((1 << d) - (d + 1))
-    )
-    return coef, terms
-
-
 def orthant_rho_exact(c: SarmanovCopula) -> tuple[Fraction, Fraction] | None:
-    out = _orthant_terms(c, exact=True)
-    if out is None:
-        return None
-    coef, terms = out
-    lo = sum((2 ** k * th * ks for k, th, ks in terms), Fraction(0))
-    hi = sum(((-2) ** k * th * ks for k, th, ks in terms), Fraction(0))
-    return coef * lo, coef * hi
+    return _orthant(c, Fraction)
 
 
 def orthant_rho(c: SarmanovCopula) -> tuple[float, float]:
     """(rho_d^-, rho_d^+): the lower/upper average orthant Spearman
     coefficients. At d = 2 both reduce to the bivariate rho_S."""
-    exact = orthant_rho_exact(c)
-    if exact is not None:
-        return float(exact[0]), float(exact[1])
-    coef, terms = _orthant_terms(c, exact=False)
-    lo = sum(2.0 ** k * th * ks for k, th, ks in terms)
-    hi = sum((-2.0) ** k * th * ks for k, th, ks in terms)
-    return coef * lo, coef * hi
+    exact = _orthant(c, Fraction)
+    if exact is None:
+        return _orthant(c, float)
+    return float(exact[0]), float(exact[1])
 
 
 def tail_dependence(c: SarmanovCopula):
@@ -225,18 +198,14 @@ def empirical_measures(
         rep.analytic["rho_plus"] = rho_p
 
     if d == 2:
-        est, se = _sectioned_se(rows, lambda r: stats.spearmanr(r[:, 0], r[:, 1]).statistic)
-        rep.empirical["rho_s"], rep.se["rho_s"] = est, se
-        est, se = _sectioned_se(rows, lambda r: stats.kendalltau(r[:, 0], r[:, 1]).statistic)
-        rep.empirical["tau"], rep.se["tau"] = est, se
+        for key, rank_corr in (("rho_s", stats.spearmanr), ("tau", stats.kendalltau)):
+            rep.empirical[key], rep.se[key] = _sectioned_se(
+                rows, lambda r, f=rank_corr: f(r[:, 0], r[:, 1]).statistic)
 
     coef = (d + 1) / (2 ** d - (d + 1))
-    prod = rows.prod(axis=1)
-    est, se = _sectioned_se(prod, lambda v: coef * (2 ** d * float(v.mean()) - 1.0))
-    rep.empirical["rho_plus"], rep.se["rho_plus"] = est, se
-    surv = (1.0 - rows).prod(axis=1)
-    est, se = _sectioned_se(surv, lambda v: coef * (2 ** d * float(v.mean()) - 1.0))
-    rep.empirical["rho_minus"], rep.se["rho_minus"] = est, se
+    for key, vals in (("rho_plus", rows.prod(axis=1)), ("rho_minus", (1.0 - rows).prod(axis=1))):
+        rep.empirical[key], rep.se[key] = _sectioned_se(
+            vals, lambda v: coef * (2 ** d * float(v.mean()) - 1.0))
 
     for key, emp in rep.empirical.items():
         if key in rep.analytic and rep.se.get(key, 0.0) > 0.0:

@@ -1,4 +1,5 @@
-"""Shared numeric helpers: quadrature, extrema refinement, vectorized bisection.
+"""Shared numeric helpers: quadrature, extrema refinement, tabulated slopes,
+vectorized bisection.
 
 All kernels handled here are smooth or piecewise smooth on [0, 1]; quadrature
 splits are placed at declared breakpoints.
@@ -56,11 +57,7 @@ def _refine_extremum(f: Callable, lo: float, mid: float, hi: float, maximize: bo
     return max(cand, grid) if maximize else min(cand, grid)
 
 
-def scan_extrema(
-    f: Callable,
-    n_grid: int = SLOPE_GRID,
-    refine: bool = True,
-) -> tuple[float, float]:
+def scan_extrema(f: Callable, n_grid: int = SLOPE_GRID) -> tuple[float, float]:
     """(sup, inf) of f on [0, 1]: dense uniform scan plus local golden polish."""
     xs = np.linspace(0.0, 1.0, n_grid)
     vals = np.asarray(f(xs), dtype=float)
@@ -68,11 +65,10 @@ def scan_extrema(
     imin = int(np.argmin(vals))
     sup = float(vals[imax])
     inf = float(vals[imin])
-    if refine:
-        if 0 < imax < n_grid - 1:
-            sup = max(sup, _refine_extremum(f, xs[imax - 1], xs[imax], xs[imax + 1], True))
-        if 0 < imin < n_grid - 1:
-            inf = min(inf, _refine_extremum(f, xs[imin - 1], xs[imin], xs[imin + 1], False))
+    if 0 < imax < n_grid - 1:
+        sup = max(sup, _refine_extremum(f, xs[imax - 1], xs[imax], xs[imax + 1], True))
+    if 0 < imin < n_grid - 1:
+        inf = min(inf, _refine_extremum(f, xs[imin - 1], xs[imin], xs[imin + 1], False))
     return sup, inf
 
 
@@ -89,6 +85,16 @@ def gradient_on_grid(values: np.ndarray) -> np.ndarray:
     phi[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     phi[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return phi
+
+
+def tabulated_slope(values) -> tuple[Callable, float, float]:
+    """(phi, sup phi, inf phi) for a function tabulated on a uniform grid of
+    [0, 1]: ``gradient_on_grid`` differences, linearly interpolated, so the
+    extremes of the interpolant are the extremes at the grid points."""
+    values = np.asarray(values, dtype=float)
+    xs = np.linspace(0.0, 1.0, values.size)
+    pv = gradient_on_grid(values)
+    return (lambda u, xs=xs, pv=pv: np.interp(u, xs, pv)), float(np.max(pv)), float(np.min(pv))
 
 
 def bisect_cdf(F: Callable, q: np.ndarray, iters: int = BISECT_ITERS) -> np.ndarray:

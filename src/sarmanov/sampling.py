@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernoulli import sample_indices
 from .calibration import MarginSampler
 from .copula import PoweredCopula, SarmanovCopula
-from .errors import NotAdmissible
 from .rng import stream
 
 
@@ -39,11 +39,8 @@ class SampleBatch:
 
 def sample(copula: SarmanovCopula, n: int, seed: int, copula_id: str = "") -> SampleBatch:
     """n exact draws; bit-identical for identical (copula, n, seed)."""
-    cert = copula.bern.admissibility_check()
-    if not cert.passed:
-        raise NotAdmissible(f"refusing to sample an invalid law: {cert.violations[:4]}")
     n = int(n)
-    idx = copula.bern.sample(n, stream(seed, 0))
+    idx = sample_indices(copula.bern, n, seed)  # refuses inadmissible laws
     rows = np.empty((n, copula.d), dtype=float)
     for m in range(copula.d):
         q = stream(seed, m + 1).random(n)
