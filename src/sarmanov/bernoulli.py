@@ -17,6 +17,17 @@ Variants:
                             the sum (admissibility reduces to w_j >= 0),
 * ``IndependentSpec`` / ``ComonotoneSpec`` -- named couplings.
 
+Everything that depends on the law is a ``BernoulliSpec`` hook:
+
+* ``_pmf_table``          -- the flat pmf (``pmf_table`` enforces d <= 20),
+* ``_moment``             -- one mixed moment theta_S,
+* ``_sample``             -- n index states from a generator,
+* ``admissibility_check`` -- the nonnegativity certificate,
+* ``orthant_terms``       -- (|S|, theta_S, kappa product) terms of the
+                             orthant coefficients; the default walks
+                             ``thetas_by_mask``, exchangeable laws collapse
+                             subsets of equal size.
+
 States are encoded as integers with bit m carrying I_{m+1}; exported
 bitstrings list margin 1 first.
 """
@@ -88,8 +99,10 @@ def _weights(values, what: str) -> tuple[np.ndarray, np.ndarray]:
     [-PMF_CLAMP, 0) are floating dust and clamped to 0 in the second copy;
     the raw copy keeps real violations visible for the certificate."""
     raw = np.array(values, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(raw)):  # a NaN would pass the sum test below
+        raise ValueError(f"{what} must be finite")
     if abs(float(raw.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"{what} sum to {raw.sum()!r}, not 1")
+        raise ValueError(f"{what} sum to {float(raw.sum())!r}, not 1")
     return raw, np.where((raw < 0.0) & (raw >= -PMF_CLAMP), 0.0, raw)
 
 
@@ -298,7 +311,7 @@ class ExchangeableSumSpec(BernoulliSpec):
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size < 3:
             raise ValueError("need w_0..w_d with d >= 2")
-        self._raw_w, self.w = _weights(w, "sum weights")
+        self._raw_w, self.w = _weights(w, "weights w_j")
         d = w.size - 1
         pi = float(np.dot(np.arange(d + 1), self.w)) / d
         super().__init__(np.full(d, pi))

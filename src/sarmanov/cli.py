@@ -3,17 +3,12 @@
 Subcommands: catalog, validate, bounds, sample, measure, certify.
 Exit codes: 0 valid/ok, 1 inadmissible or oracle violation, 2 usage or
 parse error, 3 internal error.
-
-The environment variable SARMANOV_THREADS may name a worker count; it is
-validated but never changes any output (generation is a deterministic
-single pass with one Philox stream per margin).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -42,17 +37,6 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_threads_env() -> None:
-    val = os.environ.get("SARMANOV_THREADS")
-    if val is None:
-        return
-    try:
-        if int(val) < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"SARMANOV_THREADS must be a positive integer, got {val!r}") from None
 
 
 def _load_config(path: str) -> CopulaConfig:
@@ -290,7 +274,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        _check_threads_env()
         return args.fn(args)
     except (ConfigError, SarmanovError) as e:
         if isinstance(e, (NotAdmissible, NotAdmissibleForTransformed)):

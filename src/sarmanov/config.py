@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,6 +50,36 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     extra = set(obj) - allowed
     if extra:
         raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
+
+
+def _number(x, where: str):
+    """``x`` itself when it is a finite JSON number; bools, strings, NaN and
+    infinities are rejected."""
+    try:
+        if not isinstance(x, bool) and math.isfinite(x):
+            return x
+    except (TypeError, OverflowError):  # non-numbers; ints beyond float range
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {x!r}")
+
+
+def _numbers(xs, where: str) -> list:
+    if not isinstance(xs, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [_number(x, f"{where} entry") for x in xs]
+
+
+def _integer(x, where: str, low: int | None = None) -> int:
+    """``x`` itself when it is a JSON integer (not a bool) of at least ``low``."""
+    if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{where} must be an integer{bound}, got {x!r}")
+    return x
+
+
+def _reject_constant(name: str):
+    # json.loads accepts the non-standard literals NaN, Infinity, -Infinity
+    raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def _interp_cdf(u_grid: np.ndarray, values: np.ndarray):
@@ -76,9 +107,7 @@ class CopulaConfig:
         _reject_unknown(obj, _TOP_KEYS, "top level")
         if obj.get("schema") != SCHEMA:
             raise ConfigError(f"schema must be {SCHEMA!r}, got {obj.get('schema')!r}")
-        d = obj.get("d")
-        if not isinstance(d, int) or d < 2:
-            raise ConfigError("d must be an integer >= 2")
+        d = _integer(obj.get("d"), "d", low=2)
         margins = obj.get("margins")
         if not isinstance(margins, list) or len(margins) != d:
             raise ConfigError(f"margins must be a list of exactly {d} entries")
@@ -91,15 +120,25 @@ class CopulaConfig:
                 raise ConfigError(f"margin {i + 1} body must be an object")
             if key == "kernel":
                 _reject_unknown(body, {"id", "params"}, f"margin {i + 1} kernel")
-                if "id" not in body:
-                    raise ConfigError(f"margin {i + 1} kernel needs an 'id'")
+                if not isinstance(body.get("id"), str):
+                    raise ConfigError(f"margin {i + 1} kernel needs a string 'id'")
+                params = body.get("params", {})
+                if not isinstance(params, dict):
+                    raise ConfigError(f"margin {i + 1} kernel params must be an object")
+                for key, val in params.items():
+                    _number(val, f"margin {i + 1} kernel parameter {key!r}")
             else:
                 _reject_unknown(body, {"pi", "u", "F0", "F1"}, f"margin {i + 1} pair")
                 for fld in ("pi", "u", "F0", "F1"):
                     if fld not in body:
                         raise ConfigError(f"margin {i + 1} pair needs '{fld}'")
+                    check = _number if fld == "pi" else _numbers
+                    check(body[fld], f"margin {i + 1} pair {fld}")
 
         a, theta, r = obj.get("a"), obj.get("theta"), obj.get("r")
+        for name, val in (("a", a), ("theta", theta)):
+            if val is not None:
+                _number(val, name)
         bern = obj.get("bernoulli")
         if d == 2:
             if (a is None) == (theta is None):
@@ -114,8 +153,7 @@ class CopulaConfig:
             if r is not None:
                 raise ConfigError("powers apply to bivariate copulas only")
         if r is not None:
-            if not isinstance(r, int) or r < 1:
-                raise ConfigError("r must be an integer >= 1")
+            _integer(r, "r", low=1)
             if a is None:
                 raise ConfigError("powered configurations take 'a' (the multiplicative scalar)")
         if bern is not None:
@@ -126,10 +164,12 @@ class CopulaConfig:
                 _reject_unknown(bern, {"variant", "pmf"}, "bernoulli")
                 if not isinstance(bern.get("pmf"), dict):
                     raise ConfigError("full_pmf needs a {bitstring: probability} object")
+                for bits, p in bern["pmf"].items():
+                    _number(p, f"pmf entry {bits!r}")
             elif variant == "exchangeable_sum":
                 _reject_unknown(bern, {"variant", "w"}, "bernoulli")
-                w = bern.get("w")
-                if not isinstance(w, list) or len(w) != d + 1:
+                w = _numbers(bern.get("w"), "exchangeable_sum w")
+                if len(w) != d + 1:
                     raise ConfigError(f"exchangeable_sum needs w of length d+1 = {d + 1}")
             elif variant == "named":
                 _reject_unknown(bern, {"variant", "name"}, "bernoulli")
@@ -138,12 +178,8 @@ class CopulaConfig:
             else:
                 raise ConfigError(f"unknown bernoulli variant {variant!r}")
 
-        n = obj.get("n", 1000)
-        seed = obj.get("seed", 0)
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("n must be a positive integer")
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        n = _integer(obj.get("n", 1000), "n", low=1)
+        seed = _integer(obj.get("seed", 0), "seed", low=0)
         return cls(
             d=d, margin_specs=margins, bernoulli=bern,
             a=None if a is None else float(a),
@@ -154,7 +190,7 @@ class CopulaConfig:
     @classmethod
     def from_json(cls, text: str) -> "CopulaConfig":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON: {e}") from e
         return cls.from_dict(obj)

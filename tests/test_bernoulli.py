@@ -162,6 +162,20 @@ class TestAdmissibility:
         assert admissibility_check(spec).passed
         assert np.min(spec.pmf_table()) == 0.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: FullPmfSpec([0.5, np.nan, 0.5, 0.0]),
+        lambda: FullPmfSpec([0.5, np.inf, -np.inf, 0.5]),
+        lambda: ExchangeableSumSpec([0.5, np.nan, 0.0, 0.5]),
+        lambda: BivariateThetaSpec(0.5, 0.5, np.nan),
+        lambda: independent([0.5, np.nan]),
+        lambda: comonotone([np.nan, 0.5]),
+    ])
+    def test_non_finite_input_rejected(self, build):
+        # NaN slips through every "< 0" and "|sum - 1| > tol" test, so it
+        # must be refused before a certificate could call it valid
+        with pytest.raises(ValueError):
+            build()
+
     def test_dimension_cap(self):
         pmf = np.zeros(2 ** 21)
         pmf[0] = 1.0

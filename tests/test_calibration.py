@@ -83,6 +83,15 @@ class TestExplicitPair:
         np.testing.assert_allclose(pair.g(GRID), GRID * (1 - GRID), atol=1e-10)
         assert pair.induced.kappa == pytest.approx(1 / 6, abs=1e-9)
 
+    def test_quadratic_kernel_slope_bounds_exact(self):
+        # g = u - u^2: second-order end differences are exact for a quadratic,
+        # a first-order end difference would give 1/(1 - h) = 1.00005
+        pair = explicit_pair(lambda u: np.asarray(u, float) ** 2,
+                             lambda u: 2 * np.asarray(u, float) - np.asarray(u, float) ** 2,
+                             pi=0.5)
+        assert pair.induced.Lambda == pytest.approx(1.0, abs=1e-9)
+        assert pair.induced.lam == pytest.approx(-1.0, abs=1e-9)
+
     def test_identity_pair_gives_independence_margin(self):
         ident = lambda u: np.asarray(u, dtype=float)  # noqa: E731
         pair = explicit_pair(ident, ident, pi=0.3)

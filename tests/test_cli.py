@@ -168,26 +168,11 @@ class TestSample:
         assert meta["n"] == 100 and meta["seed"] == 42 and meta["d"] == 2
         assert len(meta["config_hash"]) == 16
 
-    def test_reproducible_and_thread_env_inert(self, fgm_config, tmp_path):
+    def test_reproducible(self, fgm_config, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out1)]) == 0
-        old = os.environ.get("SARMANOV_THREADS")
-        os.environ["SARMANOV_THREADS"] = "7"
-        try:
-            assert main(["sample", "--config", str(fgm_config), "--out", str(out2)]) == 0
-        finally:
-            if old is None:
-                os.environ.pop("SARMANOV_THREADS")
-            else:
-                os.environ["SARMANOV_THREADS"] = old
+        assert main(["sample", "--config", str(fgm_config), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_bad_thread_env_rejected(self, fgm_config):
-        os.environ["SARMANOV_THREADS"] = "many"
-        try:
-            assert main(["sample", "--config", str(fgm_config)]) == 2
-        finally:
-            os.environ.pop("SARMANOV_THREADS")
 
     def test_d3_has_three_columns(self, tmp_path, capsys):
         cfg = tmp_path / "tri.json"
@@ -345,6 +330,34 @@ class TestConfigRules:
         cfg = write_config(tmp_path / "m.json",
                            margins=[{"kernel": {"id": "fgm"}}])
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    @pytest.mark.parametrize("overrides", [
+        {"a": "x"},
+        {"a": "0.5"},
+        {"a": float("nan")},
+        {"a": float("inf")},
+        {"seed": True},
+        {"n": True},
+        {"margins": [{"kernel": {"id": "hki", "params": {"p": "2"}}}, {"kernel": {"id": "fgm"}}]},
+        {"a": None, "theta": 0.5, "margins": [
+            {"pair": {"pi": 0.5, "u": [0, 0.5, 1], "F0": [0, 0.25, 1], "F1": [0, "0.75", 1]}},
+            {"kernel": {"id": "fgm"}}]},
+        {"d": 3, "a": None, "margins": [{"kernel": {"id": "fgm"}}] * 3,
+         "bernoulli": {"variant": "full_pmf", "pmf": {"000": "0.5", "111": 0.5}}},
+        {"d": 3, "a": None, "margins": [{"kernel": {"id": "fgm"}}] * 3,
+         "bernoulli": {"variant": "exchangeable_sum", "w": [0.5, float("nan"), 0, 0.5]}},
+    ], ids=["a_str", "a_numeric_str", "a_nan", "a_inf", "seed_bool", "n_bool", "param_str",
+            "pair_str", "pmf_str", "w_nan"])
+    def test_malformed_number_is_usage_error(self, tmp_path, capsys, command, overrides):
+        # json.dumps writes NaN and Infinity literals, which json.loads accepts
+        cfg = {"schema": "sarmanov-config/1", "d": 2,
+               "margins": [{"kernel": {"id": "fgm"}}] * 2, "a": 0.5, "n": 50, "seed": 1}
+        cfg.update(overrides)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_measure_bit_exact_reproducible(self, fgm_config, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

@@ -64,6 +64,11 @@ class TestAdmissibleInterval:
         assert hi == pytest.approx(abs(lam), abs=1e-12)
         assert lo == pytest.approx(-min(1.0, lam * lam), abs=1e-12)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_a_refused(self, a):
+        with pytest.raises(ValueError):
+            make_bivariate(kernel("fgm"), kernel("fgm"), a=a)
+
     def test_asymmetric_pair(self):
         k1, k2 = kernel("fgm"), kernel("hkii", q=2)
         lo, hi = admissible_a_interval(k1, k2)

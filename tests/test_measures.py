@@ -162,6 +162,25 @@ class TestOrthant:
         assert a[0] == pytest.approx(b[0], abs=1e-13)
         assert a[1] == pytest.approx(b[1], abs=1e-13)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("names", [("fgm", "checkerboard"), ("sin", "fgm")])
+    def test_exchangeable_hook_matches_generic_terms(self, d, names):
+        # ExchangeableSumSpec.orthant_terms (e_k recurrence, exact thetas)
+        # against the generic per-subset terms of the same law as a full pmf;
+        # fgm x checkerboard runs the exact route, sin the float route
+        from sarmanov.bernoulli import FullPmfSpec
+
+        r = np.random.default_rng(d).random(d + 1)
+        w = (r + r[::-1]) / (r + r[::-1]).sum()
+        w[:3] += [0.02, -0.04, 0.02]  # keeps the sum and pi = 1/2, breaks the symmetry
+        spec = ExchangeableSumSpec(w)
+        pairs = tuple(calibrate_from_kernel(kernel(names[m % 2])) for m in range(d))
+        a = orthant_rho(SarmanovCopula(pairs, spec))
+        b = orthant_rho(SarmanovCopula(pairs, FullPmfSpec(spec.pmf_table())))
+        assert a[0] != a[1]
+        assert a[0] == pytest.approx(b[0], abs=1e-12)
+        assert a[1] == pytest.approx(b[1], abs=1e-12)
+
     def test_mixed_margin_kernels(self):
         pairs = (calibrate_from_kernel(kernel("fgm")),
                  calibrate_from_kernel(kernel("sin")),
