@@ -66,8 +66,9 @@ def _orthant(c: SarmanovCopula, num):
         return None
     terms = c.bern.orthant_terms(kappas, num)
     coef = num(d + 1) / num((1 << d) - (d + 1))
-    lo = sum((num(2) ** k * th * ks for k, th, ks in terms), num(0))
-    hi = sum((num(-2) ** k * th * ks for k, th, ks in terms), num(0))
+    # 2^k is an exact int in either arithmetic (k <= 20)
+    lo = sum((2 ** k * th * ks for k, th, ks in terms), num(0))
+    hi = sum(((-2) ** k * th * ks for k, th, ks in terms), num(0))
     return coef * lo, coef * hi
 
 
