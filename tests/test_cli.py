@@ -168,9 +168,12 @@ class TestSample:
         assert meta["n"] == 100 and meta["seed"] == 42 and meta["d"] == 2
         assert len(meta["config_hash"]) == 16
 
-    def test_reproducible(self, fgm_config, tmp_path):
+    def test_reproducible_and_thread_env_inert(self, fgm_config, tmp_path, monkeypatch):
+        # SARMANOV_THREADS is no longer read: any value, malformed or not,
+        # leaves the run and its bytes unchanged.
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out1)]) == 0
+        monkeypatch.setenv("SARMANOV_THREADS", "many")
         assert main(["sample", "--config", str(fgm_config), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
