@@ -8,10 +8,9 @@ parse error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-
-import numpy as np
 
 from . import measures
 from .bernoulli import state_bitstring
@@ -27,16 +26,35 @@ from .kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
 from .sampling import sample, sample_powered
 
 
+CSV_BLOCK_ROWS = 1 << 14  # sample rows formatted per write
+
+
 def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _opened(out_path: str | None):
+    """The --out file opened for writing, or stdout when there is none."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(text: str, out_path: str | None) -> None:
+    with _opened(out_path) as fh:
+        fh.write(text)
+
+
+def _write_rows(fh, rows) -> None:
+    """Write an (n, d) float array as CSV rows of ``%.17g`` values (the same
+    digits as ``f"{x:.17g}"``), one format operation per block of rows."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _load_config(path: str) -> CopulaConfig:
@@ -163,6 +181,9 @@ def cmd_bounds(args) -> int:
 def _draw(args):
     """(config, model, batch) with --n/--seed overriding the config's n and seed."""
     cfg = _load_config(args.config)
+    for flag, value, low in (("--n", args.n, 1), ("--seed", args.seed, 0)):
+        if value is not None and value < low:  # the bounds the config puts on n and seed
+            raise ConfigError(f"{flag} must be an integer >= {low}, got {value}")
     model = cfg.build()
     n = args.n if args.n is not None else cfg.n
     seed = args.seed if args.seed is not None else cfg.seed
@@ -172,14 +193,15 @@ def _draw(args):
 
 def cmd_sample(args) -> int:
     cfg, _, batch = _draw(args)
-    header = ",".join(f"u{m + 1}" for m in range(batch.d))
-    body = "\n".join(",".join(f"{x:.17g}" for x in row) for row in batch.rows)
-    _write(header + "\n" + body + "\n", args.out)
+    columns = [f"u{m + 1}" for m in range(batch.d)]
+    with _opened(args.out) as fh:
+        fh.write(",".join(columns) + "\n")
+        _write_rows(fh, batch.rows)
     meta = {
         "schema": SCHEMA,
         "config_hash": cfg.canonical_hash(),
         "n": batch.n, "seed": batch.seed, "d": batch.d,
-        "columns": [f"u{m + 1}" for m in range(batch.d)],
+        "columns": columns,
     }
     if args.out:
         with open(args.out + ".meta.json", "w") as fh:

@@ -38,7 +38,7 @@ import numpy as np
 from . import bernoulli as bn
 from .calibration import CalibratedPair, calibrate_from_kernel, explicit_pair
 from .copula import PoweredCopula, SarmanovCopula, build_powered
-from .errors import ConfigError
+from .errors import ConfigError, SarmanovError
 from .kernels import Kernel, catalog_lookup
 
 SCHEMA = "sarmanov-config/1"
@@ -264,8 +264,12 @@ class CopulaConfig:
                 raise ConfigError("powered configurations need kernel margins")
             return build_powered(ks[0], ks[1], self.a, self.r)
         pairs = self.margin_pairs()
-        bern = self.build_bernoulli(pairs)
-        return SarmanovCopula(tuple(pairs), bern)
+        try:
+            return SarmanovCopula(tuple(pairs), self.build_bernoulli(pairs))
+        except SarmanovError:
+            raise
+        except ValueError as e:  # a law that does not sum to 1 or disagrees with its margins
+            raise ConfigError(str(e)) from e
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

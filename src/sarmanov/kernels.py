@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import (
     DegenerateKernel,
@@ -91,7 +90,9 @@ def _is_integral(x) -> bool:
 def sin_asym_slope_root() -> float:
     """Root y of y*tan(y) = 2 on (0, pi/2); locates the steepest descent of
     the asymmetric sine kernel."""
-    return float(optimize.brentq(lambda y: y * math.tan(y) - 2.0, 1e-12, _PI / 2 - 1e-9, xtol=1e-14))
+    from scipy.optimize import brentq
+
+    return float(brentq(lambda y: y * math.tan(y) - 2.0, 1e-12, _PI / 2 - 1e-9, xtol=1e-14))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,8 @@ def _row_hkii(p) -> Kernel:
 
 
 def _row_bkb(prm) -> Kernel:
+    from scipy.special import beta
+
     p, q = prm["p"], prm["q"]
     _require(p > 0, "bkb requires p > 0")
     _require(q > 1, "bkb requires q > 1 (phi unbounded otherwise)")
@@ -154,7 +157,7 @@ def _row_bkb(prm) -> Kernel:
     if _is_integral(q):
         fp, n = _frac(p), int(q)
         lam_exact = -((1 + fp * n) ** (n - 1)) / (fp ** n * Fraction(n - 1) ** (n - 1))
-    kappa = special.beta(2.0 / p, q + 1.0) / p
+    kappa = beta(2.0 / p, q + 1.0) / p
     kappa_exact = None
     if _is_integral(q) and p > 0 and _is_integral(2.0 / p):
         # B(n, q+1) = (n-1)! q! / (n+q)! for integer arguments
@@ -202,13 +205,15 @@ def _row_checkerboard(p) -> Kernel:
 
 
 def _row_lai_xie(prm) -> Kernel:
+    from scipy.special import beta
+
     a, b = prm["a"], prm["b"]
     _require(a > 1 and b > 1, "lai_xie requires a > 1 and b > 1")
     s = math.sqrt(a * b / (a + b - 1.0))
     common = (a + b) ** (a + b - 2.0) * math.sqrt(a + b - 1.0) / math.sqrt(a * b)
     Lambda = common / ((b - s) ** (b - 1.0) * (a + s) ** (a - 1.0))
     lam = -common / ((b + s) ** (b - 1.0) * (a - s) ** (a - 1.0))
-    kappa = special.beta(b + 1.0, a + 1.0)
+    kappa = beta(b + 1.0, a + 1.0)
     kappa_exact = None
     if _is_integral(a) and _is_integral(b):
         ia, ib = int(a), int(b)
@@ -259,24 +264,26 @@ def _row_lee_exponential(p) -> Kernel:
 
 
 def _row_norm_lee(p) -> Kernel:
+    from scipy.special import ndtr, ndtri
+
     c = math.exp(2.0 / 3.0) / math.sqrt(3.0)
     s3 = math.sqrt(3.0)
 
     def g(u, c=c, s3=s3):
         u = np.asarray(u, dtype=float)
-        z = special.ndtri(u)  # +-inf at the endpoints; arithmetic below is inf-safe
-        return c * (special.ndtr(s3 * z + 2.0 / s3) - u)
+        z = ndtri(u)  # +-inf at the endpoints; arithmetic below is inf-safe
+        return c * (ndtr(s3 * z + 2.0 / s3) - u)
 
     def phi(u, c=c, s3=s3):
         u = np.asarray(u, dtype=float)
-        z = special.ndtri(u)
+        z = ndtri(u)
         return c * (s3 * math.exp(1.0 / 3.0) * np.exp(-((z + 1.0) ** 2)) - 1.0)
 
     return Kernel(
         "norm_lee", {},
         g=g, phi=phi,
         Lambda=1.0 / (_E - c), lam=-s3 * math.exp(-2.0 / 3.0),
-        kappa=c * (special.ndtr(1.0 / s3) - 0.5),
+        kappa=c * (ndtr(1.0 / s3) - 0.5),
         sign_constant=False,  # dips below zero near the origin
     )
 

@@ -17,11 +17,11 @@ certified envelope C(u,u)/u <= (1 + |a| L1 L2) u is returned alongside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .bernoulli import MAX_FULL_PMF_D
 from .copula import SarmanovCopula
@@ -30,6 +30,17 @@ from .sampling import SampleBatch
 
 MIN_BATCH = 1000
 SE_GROUPS = 40  # disjoint sections used for standard errors
+
+
+def __getattr__(name):
+    # ``stats`` is scipy.stats, imported on first access: it is the slowest
+    # scipy module to load, and importing the package or sampling needs none
+    if name == "stats":
+        from scipy import stats
+
+        globals()["stats"] = stats
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- closed forms ------------------------------------------------------------
@@ -199,6 +210,7 @@ def empirical_measures(
         rep.analytic["rho_plus"] = rho_p
 
     if d == 2:
+        stats = sys.modules[__name__].stats  # through the module, so a replaced attribute is honoured
         for key, rank_corr in (("rho_s", stats.spearmanr), ("tau", stats.kendalltau)):
             rep.empirical[key], rep.se[key] = _sectioned_se(
                 rows, lambda r, f=rank_corr: f(r[:, 0], r[:, 1]).statistic)

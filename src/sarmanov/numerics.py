@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 QUAD_TOL = 1e-12
 SLOPE_GRID = 200_001  # uniform scan used before local refinement
@@ -24,8 +23,10 @@ def quad01(f: Callable, breakpoints: Sequence[float] = (), tol: float = QUAD_TOL
     Interior breakpoints force panel boundaries so piecewise kernels
     (checkerboard, two-slope) integrate at full accuracy.
     """
+    from scipy.integrate import quad
+
     pts = sorted(p for p in breakpoints if 0.0 < p < 1.0)
-    val, _ = integrate.quad(
+    val, _ = quad(
         lambda x: float(f(x)), 0.0, 1.0,
         points=pts or None, epsabs=tol, epsrel=tol, limit=200,
     )
@@ -38,12 +39,14 @@ def _refine_extremum(f: Callable, lo: float, mid: float, hi: float, maximize: bo
     Falls back to the grid value when the bracket is invalid (flat or
     discontinuous f), which is exact for the piecewise-constant derivatives.
     """
+    from scipy.optimize import minimize_scalar
+
     sign = -1.0 if maximize else 1.0
     fm = sign * float(f(mid))
     if not (fm < sign * float(f(lo)) and fm < sign * float(f(hi))):
         return float(f(mid))
     try:
-        res = optimize.minimize_scalar(
+        res = minimize_scalar(
             lambda x: sign * float(f(x)),
             bracket=(lo, mid, hi),
             method="golden",

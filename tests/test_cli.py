@@ -8,7 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-from sarmanov.cli import main
+from sarmanov import cli
+from sarmanov.cli import CSV_BLOCK_ROWS, main
+from sarmanov.sampling import SampleBatch
+
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1 - 2 ** -53]
+
+
+def src_env():
+    """Environment for a child interpreter that imports sarmanov from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else [])
+    )
+    return env
 
 
 def write_config(path, **overrides):
@@ -200,6 +214,42 @@ class TestSample:
         cfg = write_config(tmp_path / "bad.json", a=1.2)
         assert main(["sample", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_writer_keeps_old_bytes(self, fgm_config, tmp_path, capsys, monkeypatch,
+                                    d, n, to_file):
+        rng = np.random.default_rng(1000 * d + n)
+        flat = rng.random(n * d)
+        k = min(len(EDGE_VALUES), flat.size)
+        flat[:k] = EDGE_VALUES[:k]
+        flat[-k:] = EDGE_VALUES[:k]  # also in the last block
+        rows = flat.reshape(n, d)
+        monkeypatch.setattr(cli, "sample", lambda model, n_, seed, copula_id="":
+                            SampleBatch(rows=rows, seed=seed, copula_id=copula_id))
+        # the per-value f-string writer that block formatting replaced
+        header = ",".join(f"u{m + 1}" for m in range(d))
+        body = "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+        expected = header + "\n" + body + "\n"
+        argv = ["sample", "--config", str(fgm_config)]
+        out = tmp_path / "rows.csv"
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        written = out.read_bytes().decode() if to_file else capsys.readouterr().out
+        assert written == expected
+
+    def test_sample_imports_no_scipy(self, fgm_config, tmp_path):
+        argv = ["sample", "--config", str(fgm_config), "--out", str(tmp_path / "rows.csv")]
+        code = (
+            "import sys\n"
+            "import sarmanov, sarmanov.cli\n"
+            f"assert sarmanov.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=src_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
 
 class TestMeasure:
     def test_report_structure(self, fgm_config, capsys):
@@ -362,6 +412,29 @@ class TestConfigRules:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    @pytest.mark.parametrize("bernoulli", [
+        {"variant": "full_pmf", "pmf": {"000": 0.7}},
+        {"variant": "exchangeable_sum", "w": [0.7, 0.1, 0.1, 0.3]},
+        {"variant": "exchangeable_sum", "w": [0.7, 0.1, 0.1, 0.1]},
+    ], ids=["pmf_sum", "w_sum", "w_pis_disagree"])
+    def test_inconsistent_law_is_usage_error(self, tmp_path, capsys, command, bernoulli):
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps({"schema": "sarmanov-config/1", "d": 3,
+                                   "margins": [{"kernel": {"id": "fgm"}}] * 3,
+                                   "bernoulli": bernoulli}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["sample", "measure"])
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n", "-3"], ["--n", "0"]],
+                             ids=["seed_negative", "n_negative", "n_zero"])
+    def test_override_flags_keep_config_bounds(self, fgm_config, capsys, command, flags):
+        assert main([command, "--config", str(fgm_config)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flags[0]} must be an integer >= ")
+
     def test_measure_bit_exact_reproducible(self, fgm_config, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         assert main(["measure", "--config", str(fgm_config), "--n", "5000",
@@ -373,14 +446,9 @@ class TestConfigRules:
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(p) for p in (os.path.join(os.path.dirname(__file__), "..", "src"),)]
-            + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else [])
-        )
         res = subprocess.run(
             [sys.executable, "-m", "sarmanov", "catalog"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=src_env(),
         )
         assert res.returncode == 0
         assert res.stdout.startswith("id,params")

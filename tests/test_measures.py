@@ -1,16 +1,19 @@
 """Closed-form and empirical dependence measures."""
 
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sarmanov import measures
 from sarmanov.bernoulli import ExchangeableSumSpec, end3, epd
 from sarmanov.calibration import calibrate_from_kernel
 from sarmanov.copula import SarmanovCopula, admissible_a_interval, make_bivariate
 from sarmanov.errors import BatchTooSmall
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
 from sarmanov.measures import (
+    SE_GROUPS,
     empirical_measures,
     kendall_analytic,
     kendall_analytic_exact,
@@ -251,3 +254,27 @@ class TestEmpirical:
         batch = SampleBatch(rows=np.random.default_rng(0).random((500, 2)), seed=0)
         with pytest.raises(BatchTooSmall):
             empirical_measures(batch)
+
+    def test_stats_attribute_is_scipy_stats(self):
+        from scipy import stats
+
+        assert measures.stats is stats
+        assert measures.stats.spearmanr is stats.spearmanr
+
+    def test_replaced_stats_attribute_is_called(self, monkeypatch):
+        # the rank correlations are looked up on the module at call time, so
+        # a replaced ``measures.stats`` is the one used
+        calls = []
+
+        def fake(name, value):
+            def rank_corr(x, y):
+                calls.append(name)
+                return types.SimpleNamespace(statistic=value)
+            return rank_corr
+
+        monkeypatch.setattr(measures, "stats", types.SimpleNamespace(
+            spearmanr=fake("spearmanr", 0.25), kendalltau=fake("kendalltau", -0.5)))
+        c = make_bivariate(kernel("fgm"), kernel("fgm"), a=1.0)
+        rep = empirical_measures(sample(c, 2000, seed=5), c)
+        assert rep.empirical["rho_s"] == 0.25 and rep.empirical["tau"] == -0.5
+        assert calls.count("spearmanr") == calls.count("kendalltau") == 1 + SE_GROUPS
