@@ -23,10 +23,11 @@ Everything that depends on the law is a ``BernoulliSpec`` hook:
 * ``_moment``             -- one mixed moment theta_S,
 * ``_sample``             -- n index states from a generator,
 * ``admissibility_check`` -- the nonnegativity certificate,
-* ``orthant_terms``       -- (|S|, theta_S, kappa product) terms of the
-                             orthant coefficients; the default walks
-                             ``thetas_by_mask``, exchangeable laws collapse
-                             subsets of equal size.
+* ``expansion``           -- sum_{|S|>=2} theta_S prod_{m not in S} a_m
+                             prod_{m in S} b_m, the one sum behind the cdf
+                             and the orthant coefficients; the default
+                             contracts the ``thetas_by_mask`` table, exchangeable
+                             laws collapse subsets of equal size.
 
 States are encoded as integers with bit m carrying I_{m+1}; exported
 bitstrings list margin 1 first.
@@ -50,6 +51,7 @@ from .rng import stream
 
 MAX_FULL_PMF_D = 20
 PMF_CLAMP = 1e-12  # entries in [-PMF_CLAMP, 0) are floating dust, clamped
+THETA_DROP = 1e-15  # thetas_by_mask leaves out |theta_S| <= THETA_DROP
 
 
 def state_bitstring(s: int, d: int) -> str:
@@ -156,17 +158,22 @@ class BernoulliSpec:
     def admissibility_check(self) -> AdmissibilityCertificate:
         raise NotImplementedError
 
-    def orthant_terms(self, kappas, num=float) -> list[tuple[int, object, object]]:
-        """(|S|, theta_S, prod_{m in S} kappas[m]) for every stored theta_S.
+    def expansion(self, a, b, num=float):
+        """sum_{|S| >= 2} theta_S prod_{m not in S} a[m] prod_{m in S} b[m].
 
-        ``num`` (``Fraction`` or ``float``) fixes the arithmetic, so the
-        exact and the float orthant coefficients share this one body.
+        ``a[m]``, ``b[m]`` are numbers or arrays of one shape; ``num``
+        (``float`` or ``Fraction``) fixes the arithmetic of the thetas. The
+        theta table is contracted one margin at a time, lowest bit first.
         """
-        return [
-            (mask.bit_count(), num(th),
-             math.prod((kappas[m] for m in range(self.d) if (mask >> m) & 1), start=num(1)))
-            for mask, th in self.thetas_by_mask().items()
-        ]
+        thetas = self.thetas_by_mask()
+        if not thetas:  # independent laws: no 2^d table at any d
+            return num(0)
+        table = [num(0)] * (1 << self.d)
+        for mask, th in thetas.items():
+            table[mask] = num(th)
+        for am, bm in zip(a, b):
+            table = [table[i] * am + table[i + 1] * bm for i in range(0, len(table), 2)]
+        return table[0]
 
     # shared --------------------------------------------------------------
     def pmf_table(self) -> np.ndarray:
@@ -193,8 +200,8 @@ class BernoulliSpec:
             self._theta_cache[idx] = self._moment(idx)
         return self._theta_cache[idx]
 
-    def thetas_by_mask(self, drop_below: float = 1e-15) -> dict[int, float]:
-        """{subset mask: theta_S} for |S| >= 2, tiny values dropped."""
+    def thetas_by_mask(self) -> dict[int, float]:
+        """{subset mask: theta_S} for |S| >= 2, |theta_S| <= THETA_DROP dropped."""
         if self._mask_cache is None:
             all_t = _moment_transform(self.pmf_table(), self.pi)
             out: dict[int, float] = {}
@@ -202,7 +209,7 @@ class BernoulliSpec:
                 if mask & (mask - 1) == 0:  # singleton
                     continue
                 v = float(all_t[mask])
-                if abs(v) > drop_below:
+                if abs(v) > THETA_DROP:
                     out[mask] = v
             self._mask_cache = out
         return self._mask_cache
@@ -338,14 +345,15 @@ class ExchangeableSumSpec(BernoulliSpec):
     def _moment(self, idx):
         return float(self.theta_k_exact(len(idx)))
 
-    def orthant_terms(self, kappas, num=float):
-        # theta_S depends on |S| only, so the kappa products over all subsets
-        # of size k collapse into the elementary symmetric polynomial e_k
-        e = [num(1)] + [num(0)] * self.d
-        for x in kappas:
-            for k in range(self.d, 0, -1):
-                e[k] = e[k] + x * e[k - 1]
-        return [(k, num(self.theta_k_exact(k)), e[k]) for k in range(2, self.d + 1)]
+    def expansion(self, a, b, num=float):
+        # theta_S depends on |S| only, so the sum is sum_k theta_k times the
+        # t^k coefficient of prod_m (a_m + t b_m): O(d^2) instead of O(2^d)
+        c = [num(1)] + [num(0)] * self.d
+        for m, (am, bm) in enumerate(zip(a, b)):
+            for k in range(m + 1, 0, -1):  # c[k] = 0 for k > m + 1
+                c[k] = c[k] * am + c[k - 1] * bm
+            c[0] = c[0] * am
+        return sum((num(self.theta_k_exact(k)) * c[k] for k in range(2, self.d + 1)), num(0))
 
     def _pmf_table(self) -> np.ndarray:
         states = np.arange(1 << self.d)
@@ -379,7 +387,7 @@ class IndependentSpec(BernoulliSpec):
     def _moment(self, idx):
         return 0.0
 
-    def thetas_by_mask(self, drop_below: float = 1e-15) -> dict[int, float]:
+    def thetas_by_mask(self) -> dict[int, float]:
         return {}
 
     def _pmf_table(self) -> np.ndarray:

@@ -134,6 +134,11 @@ class CopulaConfig:
                         raise ConfigError(f"margin {i + 1} pair needs '{fld}'")
                     check = _number if fld == "pi" else _numbers
                     check(body[fld], f"margin {i + 1} pair {fld}")
+                u = body["u"]
+                if not len(u) == len(body["F0"]) == len(body["F1"]) or len(u) < 2:
+                    raise ConfigError(f"margin {i + 1} pair needs u, F0, F1 of one length >= 2")
+                if any(x >= y for x, y in zip(u, u[1:])):  # np.interp needs it
+                    raise ConfigError(f"margin {i + 1} pair u must be strictly increasing")
 
         a, theta, r = obj.get("a"), obj.get("theta"), obj.get("r")
         for name, val in (("a", a), ("theta", theta)):

@@ -6,9 +6,10 @@ The d-variate cdf is the subset expansion
          + sum_{|S| >= 2} theta_S (prod_{m not in S} u_m)(prod_{m in S} ghat_m(u_m)),
 
 with ghat_m the induced kernel of margin m and theta_S the normalized mixed
-moments of the latent index law. For d = 2 and kernel-built margins this is
-exactly the classical perturbation u1*u2 + a*g1(u1)*g2(u2) with
-a = Lambda1*Lambda2*theta.
+moments of the latent index law. ``SarmanovCopula.cdf`` hands the sum to
+the law's ``BernoulliSpec.expansion`` hook with (a_m, b_m) = (u_m, ghat_m(u_m)).
+For d = 2 and kernel-built margins this is exactly the classical
+perturbation u1*u2 + a*g1(u1)*g2(u2) with a = Lambda1*Lambda2*theta.
 
 ``d_increasing_oracle`` is the brute-force validity check this construction
 makes unnecessary: it evaluates every rectangle increment on a grid via
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernoulli import MAX_FULL_PMF_D, BernoulliSpec, BivariateThetaSpec
+from .bernoulli import BernoulliSpec, BivariateThetaSpec
 from .calibration import CalibratedPair, calibrate_from_kernel
 from .errors import (
     DegenerateKernel,
@@ -106,28 +107,8 @@ class SarmanovCopula:
             pts = pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} columns")
-        if self.d > MAX_FULL_PMF_D:
-            raise DimensionTooLarge(f"cdf evaluation supports d <= {MAX_FULL_PMF_D}")
-        thetas = self.bern.thetas_by_mask()
-        out = np.prod(pts, axis=1)
-        if thetas:
-            cols_u = [pts[:, m] for m in range(self.d)]
-            cols_g = [np.asarray(self.margins[m].g(pts[:, m]), dtype=float)
-                      for m in range(self.d)]
-            if len(thetas) * self.d <= (1 << self.d):
-                for mask, th in thetas.items():
-                    term = np.ones(pts.shape[0])
-                    for m in range(self.d):
-                        term = term * (cols_g[m] if (mask >> m) & 1 else cols_u[m])
-                    out = out + th * term
-            else:
-                # dense route: one doubling pass builds all subset products;
-                # after step m the new index bit m flags "margin m in S"
-                prods = np.ones((1, pts.shape[0]))
-                for m in range(self.d):
-                    prods = np.concatenate([prods * cols_u[m], prods * cols_g[m]])
-                for mask, th in thetas.items():
-                    out = out + th * prods[mask]
+        cols_g = [np.asarray(self.margins[m].g(pts[:, m]), dtype=float) for m in range(self.d)]
+        out = np.prod(pts, axis=1) + self.bern.expansion(list(pts.T), cols_g)
         return float(out[0]) if single else out
 
     def density(self, u1, u2) -> float | np.ndarray:

@@ -23,9 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import MAX_FULL_PMF_D
 from .copula import SarmanovCopula
-from .errors import BatchTooSmall, DimensionTooLarge
+from .errors import BatchTooSmall
 from .sampling import SampleBatch
 
 MIN_BATCH = 1000
@@ -69,18 +68,15 @@ def _kendall(c: SarmanovCopula, num):
 
 
 def _orthant(c: SarmanovCopula, num):
-    d = c.d
-    if d > MAX_FULL_PMF_D:
-        raise DimensionTooLarge(f"orthant coefficients need d <= {MAX_FULL_PMF_D}")
+    # the sum of the cdf expansion with (a_m, b_m) = (1, +-2 kappahat_m)
     kappas = _kappas(c, num)
     if kappas is None:
         return None
-    terms = c.bern.orthant_terms(kappas, num)
+    d = c.d
     coef = num(d + 1) / num((1 << d) - (d + 1))
-    # 2^k is an exact int in either arithmetic (k <= 20)
-    lo = sum((2 ** k * th * ks for k, th, ks in terms), num(0))
-    hi = sum(((-2) ** k * th * ks for k, th, ks in terms), num(0))
-    return coef * lo, coef * hi
+    ones = [num(1)] * d
+    return tuple(coef * c.bern.expansion(ones, [sign * 2 * k for k in kappas], num)
+                 for sign in (1, -1))
 
 
 def spearman_analytic_exact(c: SarmanovCopula) -> Fraction | None:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -284,6 +285,18 @@ class TestMeasure:
         payload = json.loads(capsys.readouterr().out)
         assert payload["analytic"]["rho_s"] == pytest.approx(1 / 6, abs=1e-3)
 
+    def test_exchangeable_beyond_pmf_cap(self, tmp_path, capsys):
+        # d = 25 needs no 2^d table: the orthant coefficients use theta_|S|
+        d = 25
+        cfg = tmp_path / "epd25.json"
+        cfg.write_text(json.dumps({
+            "schema": "sarmanov-config/1", "d": d, "margins": [{"kernel": {"id": "fgm"}}] * d,
+            "bernoulli": {"variant": "named", "name": "epd"}, "n": 2000, "seed": 3,
+        }))
+        assert main(["measure", "--config", str(cfg)]) == 0
+        analytic = json.loads(capsys.readouterr().out)["analytic"]
+        assert math.isfinite(analytic["rho_minus"]) and math.isfinite(analytic["rho_plus"])
+
 
 class TestCertify:
     def test_pass_report(self, fgm_config, capsys):
@@ -400,8 +413,18 @@ class TestConfigRules:
          "bernoulli": {"variant": "full_pmf", "pmf": {"000": "0.5", "111": 0.5}}},
         {"d": 3, "a": None, "margins": [{"kernel": {"id": "fgm"}}] * 3,
          "bernoulli": {"variant": "exchangeable_sum", "w": [0.5, float("nan"), 0, 0.5]}},
+        {"a": None, "theta": 0.5, "margins": [
+            {"pair": {"pi": 0.5, "u": [0, 0.5, 1], "F0": [0, 0.25], "F1": [0, 0.75, 1]}},
+            {"kernel": {"id": "fgm"}}]},
+        {"a": None, "theta": 0.5, "margins": [
+            {"pair": {"pi": 0.5, "u": [], "F0": [], "F1": []}},
+            {"kernel": {"id": "fgm"}}]},
+        {"a": None, "theta": 0.5, "margins": [
+            {"pair": {"pi": 0.5, "u": [0, 0.5, 0.5, 1], "F0": [0, 0.25, 0.25, 1],
+                      "F1": [0, 0.75, 0.75, 1]}},
+            {"kernel": {"id": "fgm"}}]},
     ], ids=["a_str", "a_numeric_str", "a_nan", "a_inf", "seed_bool", "n_bool", "param_str",
-            "pair_str", "pmf_str", "w_nan"])
+            "pair_str", "pmf_str", "w_nan", "pair_lengths", "pair_empty", "pair_u_repeated"])
     def test_malformed_number_is_usage_error(self, tmp_path, capsys, command, overrides):
         # json.dumps writes NaN and Infinity literals, which json.loads accepts
         cfg = {"schema": "sarmanov-config/1", "d": 2,

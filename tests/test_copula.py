@@ -1,5 +1,8 @@
 """Copula assembly: intervals, cdf routes, oracle, conversions, powers."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from sarmanov.bernoulli import (
     BivariateThetaSpec,
+    ExchangeableSumSpec,
     FullPmfSpec,
+    comonotone,
     epd,
     independent,
     theta_range_bivariate,
@@ -32,6 +37,8 @@ from sarmanov.errors import (
     UnboundedAtOrigin,
 )
 from sarmanov.kernels import Kernel, catalog_lookup, custom_kernel
+from sarmanov.measures import orthant_rho, orthant_rho_exact
+from sarmanov.sampling import sample
 
 
 def kernel(name, **params):
@@ -168,11 +175,18 @@ class TestCdf:
             SarmanovCopula(pairs, BivariateThetaSpec(0.5, 0.5, 0.2))
 
     def test_dimension_cap(self):
+        # the cap holds only where the law needs its 2^d table; an
+        # independent law has no thetas and evaluates at any d
         d = 21
         pairs = tuple(calibrate_from_kernel(kernel("fgm")) for _ in range(d))
-        c = SarmanovCopula(pairs, independent([0.5] * d))
+        c = SarmanovCopula(pairs, comonotone([0.5] * d))
         with pytest.raises(DimensionTooLarge):
             c.cdf(np.full(d, 0.5))
+        with pytest.raises(DimensionTooLarge):
+            orthant_rho(c)
+        free = SarmanovCopula(pairs, independent([0.5] * d))
+        pts = np.random.default_rng(21).random((50, d))
+        assert np.array_equal(free.cdf(pts), pts.prod(axis=1))
 
     def test_pmf_spec_equals_theta_spec(self):
         # the same law through two different spec variants gives one cdf
@@ -183,6 +197,87 @@ class TestCdf:
         via_pmf = SarmanovCopula(direct.margins, pmf)
         pts = np.random.default_rng(15).random((200, 2))
         np.testing.assert_allclose(direct.cdf(pts), via_pmf.cdf(pts), atol=1e-15)
+
+
+def _two_route_cdf(c, pts):
+    """The cdf body before the expansion hook: a per-theta loop for sparse
+    laws, one doubling pass over all subset products otherwise."""
+    thetas = c.bern.thetas_by_mask()
+    out = np.prod(pts, axis=1)
+    if thetas:
+        cols_u = [pts[:, m] for m in range(c.d)]
+        cols_g = [np.asarray(c.margins[m].g(pts[:, m]), dtype=float) for m in range(c.d)]
+        if len(thetas) * c.d <= (1 << c.d):
+            for mask, th in thetas.items():
+                term = np.ones(pts.shape[0])
+                for m in range(c.d):
+                    term = term * (cols_g[m] if (mask >> m) & 1 else cols_u[m])
+                out = out + th * term
+        else:
+            prods = np.ones((1, pts.shape[0]))
+            for m in range(c.d):
+                prods = np.concatenate([prods * cols_u[m], prods * cols_g[m]])
+            for mask, th in thetas.items():
+                out = out + th * prods[mask]
+    return out
+
+
+def _subset_orthant_exact(c):
+    """The orthant sum before the expansion hook, per subset (e_k for
+    exchangeable laws), in exact arithmetic."""
+    kappas = [p.induced.kappa_exact for p in c.margins]
+    if isinstance(c.bern, ExchangeableSumSpec):
+        e = [Fraction(1)] + [Fraction(0)] * c.d
+        for x in kappas:
+            for k in range(c.d, 0, -1):
+                e[k] = e[k] + x * e[k - 1]
+        terms = [(k, c.bern.theta_k_exact(k), e[k]) for k in range(2, c.d + 1)]
+    else:
+        terms = [(mask.bit_count(), Fraction(th),
+                  math.prod((kappas[m] for m in range(c.d) if (mask >> m) & 1), start=Fraction(1)))
+                 for mask, th in c.bern.thetas_by_mask().items()]
+    coef = Fraction(c.d + 1, (1 << c.d) - (c.d + 1))
+    return (coef * sum((2 ** k * th * ks for k, th, ks in terms), Fraction(0)),
+            coef * sum(((-2) ** k * th * ks for k, th, ks in terms), Fraction(0)))
+
+
+def _pinned_laws(d, rng):
+    raw = rng.random(1 << d)
+    pmf = raw + raw[::-1]  # state and complement share mass: pi_m = 1/2
+    w = rng.random(d + 1)
+    laws = [FullPmfSpec(pmf / pmf.sum()), ExchangeableSumSpec((w + w[::-1]) / (w + w[::-1]).sum()),
+            comonotone([0.5] * d), epd(d), independent([0.5] * d)]
+    if d == 2:
+        laws.append(BivariateThetaSpec(0.5, 0.5, rng.uniform(-1.0, 1.0)))
+    return laws
+
+
+class TestExpansionHook:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_old_routes(self, d):
+        # the hook against the two cdf routes and the per-subset orthant sum
+        # it replaced; fgm/checkerboard margins keep the orthant route exact
+        rng = np.random.default_rng(100 + d)
+        names = ("fgm", "checkerboard", "sin")
+        pts = rng.random((300, d))
+        for bern in _pinned_laws(d, rng):
+            exact = tuple(calibrate_from_kernel(kernel(names[m % 2])) for m in range(d))
+            floats = tuple(calibrate_from_kernel(kernel(names[m % 3])) for m in range(d))
+            for pairs in (exact, floats):
+                c = SarmanovCopula(pairs, bern)
+                assert np.max(np.abs(c.cdf(pts) - _two_route_cdf(c, pts))) <= 1e-15
+            assert orthant_rho_exact(SarmanovCopula(exact, bern)) == _subset_orthant_exact(
+                SarmanovCopula(exact, bern))
+
+    def test_exchangeable_d200_matches_monte_carlo(self):
+        # no 2^d table is built: the cdf runs the O(d^2) recurrence
+        d, n = 200, 20_000
+        c = SarmanovCopula((calibrate_from_kernel(kernel("fgm")),) * d, epd(d))
+        rows = sample(c, n, seed=7).rows
+        for t in (0.98, 0.99, 0.995):
+            v = c.cdf(np.full(d, t))
+            freq = float(np.mean(np.all(rows <= t, axis=1)))
+            assert abs(freq - v) <= 4.0 * math.sqrt(v * (1.0 - v) / n)
 
 
 class TestDensity:

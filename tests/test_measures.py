@@ -168,8 +168,8 @@ class TestOrthant:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     @pytest.mark.parametrize("names", [("fgm", "checkerboard"), ("sin", "fgm")])
     def test_exchangeable_hook_matches_generic_terms(self, d, names):
-        # ExchangeableSumSpec.orthant_terms (e_k recurrence, exact thetas)
-        # against the generic per-subset terms of the same law as a full pmf;
+        # ExchangeableSumSpec.expansion (t^k recurrence, exact thetas)
+        # against the generic contraction of the same law as a full pmf;
         # fgm x checkerboard runs the exact route, sin the float route
         from sarmanov.bernoulli import FullPmfSpec
 
