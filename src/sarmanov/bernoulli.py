@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -342,6 +343,11 @@ class ExchangeableSumSpec(BernoulliSpec):
             total += wj * inner
         return total
 
+    @cached_property
+    def _theta_ks(self) -> list[Fraction]:
+        """theta_2..theta_d, computed once per law."""
+        return [self.theta_k_exact(k) for k in range(2, self.d + 1)]
+
     def _moment(self, idx):
         return float(self.theta_k_exact(len(idx)))
 
@@ -353,7 +359,7 @@ class ExchangeableSumSpec(BernoulliSpec):
             for k in range(m + 1, 0, -1):  # c[k] = 0 for k > m + 1
                 c[k] = c[k] * am + c[k - 1] * bm
             c[0] = c[0] * am
-        return sum((num(self.theta_k_exact(k)) * c[k] for k in range(2, self.d + 1)), num(0))
+        return sum((num(t) * c[k] for k, t in enumerate(self._theta_ks, 2)), num(0))
 
     def _pmf_table(self) -> np.ndarray:
         states = np.arange(1 << self.d)

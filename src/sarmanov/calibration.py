@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DegenerateKernel, NotCalibrated, NotMonotone
 from .kernels import Kernel
-from .numerics import bisect_cdf, sign_changes, tabulated_slope
+from .numerics import bisect_cdf  # noqa: F401  (perfbench reads calibration.bisect_cdf)
+from .numerics import invert_cdf, sign_changes, tabulated_slope
 
 CALIBRATION_TOL = 1e-8
 MONOTONE_TOL = 1e-12
@@ -45,7 +46,7 @@ class CalibratedPair:
     ``induced`` is the kernel g_hat = pi * (F1 - F0) packaged with its own
     slope bounds and area; for kernel-built pairs it equals Lambda * g and
     its upper slope bound is exactly 1. ``F0_inv``/``F1_inv`` are analytic
-    quantiles when known; sampling falls back to bisection otherwise.
+    quantiles when known; sampling inverts F numerically otherwise.
     """
 
     pi: float
@@ -190,8 +191,9 @@ def reflection_check(pair: CalibratedPair, tol: float = REFLECTION_TOL) -> bool:
 def component_quantile(pair: CalibratedPair, which: int, q) -> np.ndarray | float:
     """Quantile of component ``which`` (0 or 1) at probability level(s) q.
 
-    Uses the analytic inverse when the pair carries one, otherwise leftmost
-    bisection on [0, 1] (flat segments resolve to their left endpoint).
+    Uses the analytic inverse when the pair carries one, otherwise
+    ``invert_cdf``: a tabulated bracket refined by Illinois regula falsi to
+    2^-44, leftmost like bisection (flat segments resolve to their left endpoint).
     """
     if which not in (0, 1):
         raise ValueError("component index must be 0 or 1")
@@ -201,7 +203,7 @@ def component_quantile(pair: CalibratedPair, which: int, q) -> np.ndarray | floa
         out = np.asarray(inv(q_arr), dtype=float)
     else:
         F = pair.F0 if which == 0 else pair.F1
-        out = bisect_cdf(F, q_arr)
+        out = invert_cdf(F, q_arr)
     return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
 
 
@@ -214,12 +216,10 @@ class MarginSampler:
     def quantile(self, index: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Map uniform draws q through the component selected per-row by
         ``index`` (0/1)."""
-        index = np.asarray(index)
+        index = np.asarray(index, dtype=bool)
         q = np.asarray(q, dtype=float)
         out = np.empty_like(q)
-        mask1 = index.astype(bool)
-        if np.any(~mask1):
-            out[~mask1] = component_quantile(self.pair, 0, q[~mask1])
-        if np.any(mask1):
-            out[mask1] = component_quantile(self.pair, 1, q[mask1])
+        for which, rows in enumerate((np.flatnonzero(~index), np.flatnonzero(index))):
+            if rows.size:
+                out[rows] = component_quantile(self.pair, which, q[rows])
         return out

@@ -12,7 +12,9 @@ import contextlib
 import json
 import sys
 
-from . import measures
+import numpy as np
+
+from . import __version__, measures
 from .bernoulli import state_bitstring
 from .config import SCHEMA, CopulaConfig
 from .copula import (
@@ -23,7 +25,7 @@ from .copula import (
 )
 from .errors import ConfigError, NotAdmissible, NotAdmissibleForTransformed, SarmanovError
 from .kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
-from .sampling import sample, sample_powered
+from .sampling import SAMPLER_VERSION, sample, sample_powered
 
 
 CSV_BLOCK_ROWS = 1 << 14  # sample rows formatted per write
@@ -202,6 +204,9 @@ def cmd_sample(args) -> int:
         "config_hash": cfg.canonical_hash(),
         "n": batch.n, "seed": batch.seed, "d": batch.d,
         "columns": columns,
+        # byte identity holds for equal (config, n, seed, sampler, numpy version)
+        "sampler": SAMPLER_VERSION,
+        "sarmanov_version": __version__, "numpy_version": np.__version__,
     }
     if args.out:
         with open(args.out + ".meta.json", "w") as fh:

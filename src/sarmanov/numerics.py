@@ -1,5 +1,5 @@
 """Shared numeric helpers: quadrature, extrema refinement, tabulated slopes,
-vectorized bisection.
+vectorized cdf inversion.
 
 All kernels handled here are smooth or piecewise smooth on [0, 1]; quadrature
 splits are placed at declared breakpoints.
@@ -14,7 +14,13 @@ import numpy as np
 QUAD_TOL = 1e-12
 SLOPE_GRID = 200_001  # uniform scan used before local refinement
 REFINE_XTOL = 1e-10
-BISECT_ITERS = 60  # 2^-60 interval width, well below the 1e-12 target
+BISECT_ITERS = 60  # bisect_cdf's default: 2^-60 width on [0, 1]
+TABLE_BITS = 12  # invert_cdf brackets q in a table of F on 2^12 + 1 points
+XTOL_BITS = 44  # and returns once the bracket is 2^-44 wide, below the 1e-12 target
+FLAT_BITS = 6  # cells where F rises by less than 2^-6 of their width are bisected
+ILLINOIS_STEPS = 8  # regula falsi steps before bisection takes over
+COMPACT_AFTER = 3  # steps before closed rows are looked for
+CHUNK_ROWS = 1 << 13  # rows refined at a time, which bounds the temporaries
 
 
 def quad01(f: Callable, breakpoints: Sequence[float] = (), tol: float = QUAD_TOL) -> float:
@@ -100,22 +106,121 @@ def tabulated_slope(values) -> tuple[Callable, float, float]:
     return (lambda u, xs=xs, pv=pv: np.interp(u, xs, pv)), float(np.max(pv)), float(np.min(pv))
 
 
-def bisect_cdf(F: Callable, q: np.ndarray, iters: int = BISECT_ITERS) -> np.ndarray:
-    """Leftmost u in [0, 1] with F(u) >= q, vectorized over q.
+def bisect_cdf(F: Callable, q: np.ndarray, iters: int = BISECT_ITERS,
+               lo=0.0, hi=1.0) -> np.ndarray:
+    """Leftmost u in [lo, hi] with F(u) >= q, vectorized over q.
 
-    F must be nondecreasing with F(0) = 0, F(1) = 1. The left-crossing
-    convention makes quantiles of flat cdf segments deterministic (left
-    endpoint of the segment).
+    F must be nondecreasing with F(lo) < q <= F(hi) (on [0, 1]: F(0) = 0,
+    F(1) = 1). The left-crossing convention makes quantiles of flat cdf
+    segments deterministic (left endpoint of the segment).
     """
     q = np.asarray(q, dtype=float)
-    lo = np.zeros_like(q)
-    hi = np.ones_like(q)
+    lo, hi = np.full(q.shape, lo, dtype=float), np.full(q.shape, hi, dtype=float)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         below = np.asarray(F(mid)) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi
+
+
+def bracket_search(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """q -> first j with table[j] >= q (table.size if none), for q in [0, 1].
+
+    A nondecreasing table is searched through a guide table (Chen & Asau,
+    1974) of the first index at or above each k/n plus one forward step;
+    ``np.searchsorted`` finishes the few rows left. Any other table takes
+    the path bisection takes over its points, so table[j - 1] < q <= table[j].
+    """
+    n = table.size - 1
+    if np.all(table[1:] >= table[:-1]):
+        guide, padded = np.searchsorted(table, np.arange(n + 1) / n), np.append(table, np.inf)
+
+        def search(q):
+            j = guide[np.clip(q * n, 0, n).astype(np.intp)]
+            j += padded[j] < q
+            left = np.flatnonzero(padded[j] < q)
+            j[left] = np.searchsorted(table, q[left])
+            return j
+        return search
+
+    def descend(q):
+        j = np.zeros(q.shape, dtype=np.intp)
+        for step in 1 << np.arange(int(n).bit_length() - 2, -1, -1):
+            j += step * (table[j + step] < q)
+        return np.where(q <= table[0], 0, np.where(q > table[-1], n + 1, j + 1))
+    return descend
+
+
+def invert_cdf(F: Callable, q) -> np.ndarray:
+    """Leftmost u in [0, 1] with F(u) >= q, vectorized over q in [0, 1].
+
+    F must be nondecreasing with F(0) = 0, F(1) = 1. Each q is bracketed in a
+    cell of a table of F on 2^12 + 1 uniform points, F(lo) < q <= F(hi) on
+    evaluated F (q <= F(0) gives 0, q > F(1) gives 1). Illinois regula falsi
+    steps (Dowell & Jarratt, BIT 11, 1971) keep that bracket, and a row
+    returns hi once hi - lo <= 2^-44. Rows whose cell is nearly flat (F rises
+    by less than 2^-6 of its width, so rounding in F can move the crossing
+    by more than 1e-12) and rows still open after ILLINOIS_STEPS steps are
+    bisected from their cell instead, which repeats the last steps of
+    ``bisect_cdf(F, q)``; flat segments therefore resolve to their left endpoint.
+    """
+    q = np.asarray(q, dtype=float)
+    cells = 1 << TABLE_BITS
+    table = np.asarray(F(np.linspace(0.0, 1.0, cells + 1)), dtype=float)
+    kind = np.zeros(cells + 2, dtype=np.int8)  # by bracket index: 0 none, 1 flat cell, 2 steep
+    kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
+    search, flat_q, out = bracket_search(table), q.ravel(), np.empty(q.size)
+    stuck = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, q.size, CHUNK_ROWS):  # chunks bound the temporaries
+        chunk = flat_q[start:start + CHUNK_ROWS]
+        out[start:start + CHUNK_ROWS], rest = _illinois(F, table, kind, chunk, search(chunk))
+        stuck.append(start + rest)
+    stuck = np.concatenate(stuck)
+    if stuck.size:
+        cell = (search(flat_q[stuck]) - 1) / cells
+        out[stuck] = bisect_cdf(F, flat_q[stuck], BISECT_ITERS - TABLE_BITS, cell, cell + 1 / cells)
+    return out.reshape(q.shape)
+
+
+def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j: np.ndarray):
+    """(quantiles, rows left to bisect) for one chunk of ``invert_cdf``."""
+    h, xtol = 1.0 / (table.size - 1), 2.0 ** -XTOL_BITS
+    out = np.minimum(j * h, 1.0)
+    kinds = kind[j]
+    rows, flat = np.flatnonzero(kinds == 2), np.flatnonzero(kinds == 1)
+    qa, ja = q[rows], j[rows]
+    # row r's bracket is ends[:, r] = (lo, hi) with vals[:, r] = (F - q there)
+    # = (a, b), a < 0 <= b; a step writes x and F(x) - q into one slot per row
+    ends = np.stack(((ja - 1) * h, ja * h))
+    vals = np.stack((table[ja - 1] - qa, table[ja] - qa))
+    above = None
+    for step in range(ILLINOIS_STEPS):
+        if step >= COMPACT_AFTER:
+            open_ = ends[1] - ends[0] > xtol
+            n_open = np.count_nonzero(open_)
+            if n_open == 0:
+                break
+            if 2 * n_open < open_.size:  # drop closed rows once they are the majority
+                out[rows] = ends[1]
+                rows, qa, above = rows[open_], qa[open_], above[open_]
+                ends, vals = (np.ascontiguousarray(v[:, open_]) for v in (ends, vals))
+        lo, hi = ends
+        a, b = vals
+        x = hi - b * ((hi - lo) / (b - a))
+        # half the tolerance off both ends, so that an estimate next to the
+        # root closes the bracket; 0/0 (a and b both 0) goes to lo
+        np.fmin(np.fmax(x, lo + 0.5 * xtol, out=x), hi - 0.5 * xtol, out=x)
+        g = np.asarray(F(x), dtype=float) - qa
+        was_above, above = above, g >= 0
+        if step:  # Illinois: halve F - q at an end kept twice in a row (halving
+            # both ends here; the slot written below gets F(x) - q)
+            np.ldexp(vals, -(above == was_above).view(np.int8), out=vals)
+        slot = above * qa.size + np.arange(qa.size)
+        ends.reshape(-1)[slot] = x
+        vals.reshape(-1)[slot] = g
+    out[rows] = ends[1]
+    return out, np.concatenate((flat, rows[ends[1] - ends[0] > xtol]))
 
 
 def sign_changes(f: Callable, breakpoints: Sequence[float] = (), n_grid: int = 20_001) -> bool:

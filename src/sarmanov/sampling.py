@@ -21,6 +21,10 @@ from .calibration import MarginSampler
 from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
+#: bumped whenever sample bytes change on purpose; 2 = tabulated bracket plus
+#: Illinois regula falsi for numeric quantiles (1 was 60-step bisection)
+SAMPLER_VERSION = 2
+
 
 @dataclass(frozen=True)
 class SampleBatch:

@@ -12,9 +12,17 @@ from sarmanov.calibration import (
     explicit_pair,
     reflection_check,
 )
+from sarmanov.copula import transform_kernel
 from sarmanov.errors import DegenerateKernel, NotCalibrated, NotMonotone
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, custom_kernel
-from sarmanov.numerics import ks_statistic
+from sarmanov.numerics import (
+    CHUNK_ROWS,
+    TABLE_BITS,
+    bisect_cdf,
+    bracket_search,
+    invert_cdf,
+    ks_statistic,
+)
 from sarmanov.rng import stream
 
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -172,6 +180,101 @@ class TestQuantiles:
             q = stream(11, 1).random(n)
             u = MarginSampler(pair).quantile(idx, q)
             assert ks_statistic(u) < 1.63 / np.sqrt(n), name
+
+
+def _tabulated(name, points=257):
+    """Explicit pair interpolating a catalog kernel's components on a grid."""
+    k = catalog_lookup(name, DEFAULT_PARAMS.get(name, {}))
+    u = np.linspace(0.0, 1.0, points)
+    F0, F1 = u - k.Lambda * k.g(u), u - k.lam * k.g(u)
+    return explicit_pair(lambda x: np.interp(x, u, F0), lambda x: np.interp(x, u, F1),
+                         k.Lambda / (k.Lambda - k.lam))
+
+
+NUMERIC_PAIRS = {
+    **{name: lambda name=name: pair_for(name) for name in CATALOG_IDS},
+    "explicit:fgm_damped": lambda: _tabulated("fgm_damped"),
+    "sin^<2>": lambda: calibrate_from_kernel(transform_kernel(catalog_lookup("sin"), 2)),
+}
+EDGE_Q = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0]
+
+
+class TestNumericInversion:
+    """The tabulated-bracket regula falsi route against 60-step bisection."""
+
+    @pytest.mark.parametrize("name", sorted(NUMERIC_PAIRS))
+    def test_matches_bisection(self, name):
+        pair = NUMERIC_PAIRS[name]()
+        q = np.concatenate([EDGE_Q, np.random.default_rng(17).random(500)])
+        for F in (pair.F0, pair.F1):
+            u, ref = invert_cdf(F, q), bisect_cdf(F, q)
+            assert np.max(np.abs(u - ref)) <= 1e-12
+            assert np.all(F(u) >= q)
+            # leftmost: no crossing 1e-9 earlier. Within 1e-9 of 0 and 1 that
+            # step is decided by rounding in F (bisection itself fails it on
+            # lee_exponential F0 at q <= 1e-300 and on exp_bridge F1 at q = 1)
+            check = (u >= 1e-9) & (q >= 1e-9) & (q <= 1.0 - 1e-9)
+            assert np.all(F(u[check] - 1e-9) < q[check])
+
+    def test_rows_beyond_one_chunk_keep_their_shape(self):
+        F = pair_for("sin").F0
+        q = np.random.default_rng(6).random((2, CHUNK_ROWS // 2 + 3))
+        u = invert_cdf(F, q)
+        assert u.shape == q.shape
+        assert np.max(np.abs(u - bisect_cdf(F, q))) <= 1e-12
+        assert invert_cdf(F, np.empty(0)).shape == (0,)
+        assert invert_cdf(F, 0.5).shape == ()
+        assert abs(invert_cdf(F, 0.5) - bisect_cdf(F, 0.5)) <= 1e-12
+
+    def test_flat_table_tail_is_finite(self):
+        # sin's F1 is flat to third order at 1: its last table cells rise by
+        # ~1e-11, and F1 rounds to 1 before u = 1
+        F1 = pair_for("sin").F1
+        top = float(F1(1.0 - 2.0 ** -TABLE_BITS))
+        q = np.concatenate([np.linspace(top, 1.0, 200)[1:], [np.nextafter(top, 2.0)]])
+        u = invert_cdf(F1, q)
+        assert np.all(np.isfinite(u))
+        assert np.all((u >= 1.0 - 2.0 ** -TABLE_BITS) & (u <= 1.0))
+        assert np.all(F1(u) >= q)
+
+    def test_interior_plateau_resolves_left(self):
+        # F0 = u on [0, 0.3], flat at 0.3 on [0.3, 0.6]; F1 = 2u - F0 (pi = 1/2)
+        xs = np.array([0.0, 0.3, 0.6, 1.0])
+        F0v = np.array([0.0, 0.3, 0.3, 1.0])
+        pair = explicit_pair(lambda x: np.interp(x, xs, F0v),
+                             lambda x: np.interp(x, xs, 2 * xs - F0v), 0.5)
+        assert component_quantile(pair, 0, 0.3) == pytest.approx(0.3, abs=1e-12)
+        u = component_quantile(pair, 0, np.array([0.3, 0.3 + 1e-6]))
+        assert u[0] == pytest.approx(0.3, abs=1e-12)
+        assert u[1] == pytest.approx(0.6 + 1e-6 * 0.4 / 0.7, abs=1e-12)
+
+    def test_unsorted_table_takes_the_bisection_path(self):
+        table = np.linspace(0.0, 1.0, 17)
+        table[[5, 6, 11]] = table[[6, 5, 12]]  # a swapped pair and a repeated value
+        q = np.concatenate([np.random.default_rng(8).random(300), [0.0, 1.0, 1.5]])
+        expected = []
+        for x in q:
+            if x <= table[0] or x > table[-1]:
+                expected.append(0 if x <= table[0] else 17)
+                continue
+            lo, hi = 0, 16
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if table[mid] < x else (lo, mid)
+            expected.append(hi)
+        np.testing.assert_array_equal(bracket_search(table)(q), expected)
+
+    def test_sorted_table_matches_searchsorted(self):
+        table = pair_for("sin").F1(np.linspace(0.0, 1.0, 4097))
+        q = np.concatenate([np.random.default_rng(9).random(2000), EDGE_Q, table[::64]])
+        np.testing.assert_array_equal(bracket_search(table)(q), np.searchsorted(table, q))
+
+    def test_bisection_inside_a_bracket(self):
+        F = pair_for("sin").F0
+        q = np.random.default_rng(5).random(100)
+        lo = np.floor(bisect_cdf(F, q) * 4096) / 4096
+        inside = bisect_cdf(F, q, 48, lo, lo + 1 / 4096)
+        np.testing.assert_array_equal(inside, bisect_cdf(F, q))
 
 
 @given(q=st.floats(0.0, 1.0), name=st.sampled_from(["fgm", "hkii", "lee_quadratic", "sin"]))

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import sarmanov
 from sarmanov import cli
 from sarmanov.cli import CSV_BLOCK_ROWS, main
 from sarmanov.sampling import SampleBatch
@@ -182,6 +183,15 @@ class TestSample:
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
         assert meta["n"] == 100 and meta["seed"] == 42 and meta["d"] == 2
         assert len(meta["config_hash"]) == 16
+
+    def test_sidecar_records_sampler_and_versions(self, fgm_config, tmp_path):
+        # sample bytes depend on the sampler version and on numpy's generator
+        out = tmp_path / "rows.csv"
+        assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
+        meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+        assert meta["sampler"] == 2
+        assert meta["sarmanov_version"] == sarmanov.__version__
+        assert meta["numpy_version"] == np.__version__
 
     def test_reproducible_and_thread_env_inert(self, fgm_config, tmp_path, monkeypatch):
         # SARMANOV_THREADS is no longer read: any value, malformed or not,

@@ -279,6 +279,29 @@ class TestExpansionHook:
             freq = float(np.mean(np.all(rows <= t, axis=1)))
             assert abs(freq - v) <= 4.0 * math.sqrt(v * (1.0 - v) / n)
 
+    def test_exchangeable_thetas_computed_once(self, monkeypatch):
+        # theta_2..theta_d of a dense w cost O(d^3) Fraction operations; a
+        # law computes them on its first expansion call and keeps them
+        d = 40
+        w = np.random.default_rng(3).random(d + 1)
+        w = (w + w[::-1]) / 2.0
+        law = ExchangeableSumSpec(w / w.sum())
+        expected = [law.theta_k_exact(k) for k in range(2, d + 1)]
+        calls = []
+        original = ExchangeableSumSpec.theta_k_exact
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(ExchangeableSumSpec, "theta_k_exact", counted)
+        c = SarmanovCopula((calibrate_from_kernel(kernel("sin")),) * d, law)
+        pts = np.random.default_rng(4).uniform(0.6, 1.0, (50, d))
+        first, second = c.cdf(pts), c.cdf(pts)
+        assert sorted(calls) == list(range(2, d + 1))
+        assert law._theta_ks == expected
+        np.testing.assert_array_equal(first, second)
+
 
 class TestDensity:
     def test_independence(self):
