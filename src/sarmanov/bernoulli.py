@@ -22,7 +22,8 @@ Everything that depends on the law is a ``BernoulliSpec`` hook:
 * ``_pmf_table``          -- the flat pmf (``pmf_table`` enforces d <= 20),
 * ``_moment``             -- one mixed moment theta_S,
 * ``_sample``             -- n index states from a generator,
-* ``admissibility_check`` -- the nonnegativity certificate,
+* ``admissibility_check`` -- the nonnegativity certificate: the verdict and
+                             the negative entries, never the 2^d table,
 * ``expansion``           -- sum_{|S|>=2} theta_S prod_{m not in S} a_m
                              prod_{m in S} b_m, the one sum behind the cdf
                              and the orthant coefficients; the default
@@ -74,13 +75,17 @@ def theta_range_bivariate(pi1: float, pi2: float) -> tuple[float, float]:
 
 @dataclass
 class AdmissibilityCertificate:
-    """Outcome of a nonnegativity check, with enough detail to audit it."""
+    """Verdict of the nonnegativity check and its evidence.
+
+    ``violations`` lists the negative entries as (state bitstring or
+    ``w_j``, value); the law passes iff it is empty. Bivariate theta laws
+    add their admissible ``theta_interval``; ``note`` says how the verdict
+    was reached. The law itself carries the rest: ``spec.kind``,
+    ``spec.pi`` and ``spec.pmf_table()``.
+    """
 
     passed: bool
-    kind: str
-    pis: tuple[float, ...]
     violations: list[tuple[str, float]] = field(default_factory=list)
-    pmf: np.ndarray | None = None
     theta_interval: tuple[float, float] | None = None
     note: str = ""
 
@@ -187,12 +192,7 @@ class BernoulliSpec:
 
     def _certificate(self, violations=(), note: str = "") -> AdmissibilityCertificate:
         """Certificate that passes iff ``violations`` is empty."""
-        return AdmissibilityCertificate(
-            passed=not violations, kind=self.kind, pis=tuple(self.pi),
-            violations=list(violations),
-            pmf=self.pmf_table() if self.d <= MAX_FULL_PMF_D else None,
-            note=note,
-        )
+        return AdmissibilityCertificate(passed=not violations, violations=list(violations), note=note)
 
     def mixed_moment(self, S) -> float:
         """theta_S for a subset of 1-based margin indices, |S| >= 2."""
@@ -266,11 +266,8 @@ class FullPmfSpec(BernoulliSpec):
         return float(np.dot(self._pmf, factor))
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        return self._certificate([
-            (state_bitstring(s, self.d), float(v))
-            for s, v in enumerate(self._raw)
-            if v < -PMF_CLAMP
-        ])
+        bad = np.flatnonzero(self._raw < -PMF_CLAMP).tolist()
+        return self._certificate([(state_bitstring(s, self.d), float(self._raw[s])) for s in bad])
 
     def _sample(self, n, rng):
         states = _draw_categorical(self._pmf, n, rng)

@@ -53,7 +53,6 @@ class CalibratedPair:
     F0: Callable[[np.ndarray], np.ndarray]
     F1: Callable[[np.ndarray], np.ndarray]
     induced: Kernel
-    source: str
     base_kernel: Kernel | None = None
     F0_inv: Callable[[np.ndarray], np.ndarray] | None = None
     F1_inv: Callable[[np.ndarray], np.ndarray] | None = None
@@ -113,10 +112,8 @@ def calibrate_from_kernel(k: Kernel) -> CalibratedPair:
                      if (k.Lambda_exact is not None and k.kappa_exact is not None) else None),
     )
     inv0, inv1 = _analytic_inverses(k)
-    return CalibratedPair(
-        pi=pi, F0=F0, F1=F1, induced=induced, source=f"kernel:{k.id}",
-        base_kernel=k, F0_inv=inv0, F1_inv=inv1,
-    )
+    return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced,
+                          base_kernel=k, F0_inv=inv0, F1_inv=inv1)
 
 
 def explicit_pair(
@@ -171,7 +168,7 @@ def explicit_pair(
             sign_constant=not sign_changes(g_hat, breakpoints),
             breakpoints=tuple(breakpoints),
         )
-    return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced, source="explicit")
+    return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced)
 
 
 def reflection_check(pair: CalibratedPair, tol: float = REFLECTION_TOL) -> bool:

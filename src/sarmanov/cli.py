@@ -115,8 +115,8 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
     cert = model.bern.admissibility_check()
     payload = {
         "valid": bool(cert.passed),
-        "kind": cert.kind,
-        "pis": list(cert.pis),
+        "kind": model.bern.kind,
+        "pis": list(model.bern.pi),
         "violations": [[name, val] for name, val in cert.violations],
         "note": cert.note,
     }
@@ -127,11 +127,12 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
         if all(k is not None for k in ks):
             payload["a"] = model.a
             payload["a_interval"] = list(admissible_a_interval(ks[0], ks[1]))
-    if cert.pmf is not None and cfg.d <= 8:
-        payload["pmf"] = [
-            [state_bitstring(s, cfg.d), float(p)] for s, p in enumerate(cert.pmf)
-        ]
     return payload, bool(cert.passed)
+
+
+def _pmf_rows(model) -> list[tuple[str, float]]:
+    """(state bitstring, probability) over {0,1}^d of an unpowered law."""
+    return [(state_bitstring(s, model.d), p) for s, p in enumerate(model.bern.pmf_table().tolist())]
 
 
 def cmd_validate(args) -> int:
@@ -147,11 +148,11 @@ def cmd_validate(args) -> int:
         # pmf table export: one row per latent state
         if isinstance(model, PoweredCopula):
             raise ConfigError("csv pmf export applies to unpowered laws")
-        pmf = model.bern.pmf_table()
-        lines = ["state,probability"]
-        lines += [f"{state_bitstring(s, cfg.d)},{p:.17g}" for s, p in enumerate(pmf)]
+        lines = ["state,probability"] + [f"{bits},{p:.17g}" for bits, p in _pmf_rows(model)]
         _write("\n".join(lines) + "\n", args.out)
     else:
+        if not isinstance(model, PoweredCopula) and cfg.d <= 8:
+            payload["pmf"] = _pmf_rows(model)  # json writes each pair as an array
         _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if ok else 1
 
@@ -170,7 +171,7 @@ def cmd_bounds(args) -> int:
         "pis": [pairs[0].pi, pairs[1].pi],
         "theta_interval": [th_lo, th_hi],
         "rho_interval": [min(rho_ends), max(rho_ends)],
-        "rho_global": [-0.75, 0.75],
+        "rho_global": list(measures.rho_global_bounds().interval),
         "rho_global_attained_by": measures.rho_global_bounds().attained_by,
     }
     ks = [p.base_kernel for p in pairs]

@@ -328,7 +328,6 @@ class PoweredCopula:
     a: float
     r: int
     base: SarmanovCopula
-    transformed: tuple[Kernel, Kernel]
     sufficient_interval: tuple[float, float]
 
     def cdf(self, u1, u2) -> float | np.ndarray:
@@ -360,6 +359,5 @@ def build_powered(k1: Kernel, k2: Kernel, a: float, r: int) -> PoweredCopula:
     base = make_bivariate(t1, t2, a=a)
     return PoweredCopula(
         h1=normalized_kernel(k1), h2=normalized_kernel(k2),
-        a=float(a), r=r, base=base, transformed=(t1, t2),
-        sufficient_interval=interval,
+        a=float(a), r=r, base=base, sufficient_interval=interval,
     )

@@ -513,11 +513,11 @@ def custom_kernel(
     )
 
 
-def _check_bounded_derivative(g_fn: Callable, levels: int = 4) -> None:
+def _check_bounded_derivative(g_fn: Callable) -> None:
     """Reject kernels whose difference quotients diverge under refinement."""
     prev = None
     growth = 0
-    for n in (25_001, 50_001, 100_001, 200_001)[:levels]:
+    for n in (25_001, 50_001, 100_001, 200_001):
         xs = np.linspace(0.0, 1.0, n)
         quot = np.abs(np.diff(np.asarray(g_fn(xs), dtype=float))) * (n - 1)
         cur = float(np.max(quot))
@@ -530,7 +530,7 @@ def _check_bounded_derivative(g_fn: Callable, levels: int = 4) -> None:
         )
 
 
-def validate_kernel(k: Kernel, grid: int = 2001) -> None:
+def validate_kernel(k: Kernel) -> None:
     """Assert the structural kernel invariants; raises AssertionError.
 
     Checks boundary anchoring, zero-mean derivative, slope-bound signs and
@@ -542,6 +542,6 @@ def validate_kernel(k: Kernel, grid: int = 2001) -> None:
     assert k.lam < 0 < k.Lambda
     if k.phi is not None:
         assert abs(quad01(k.phi, k.breakpoints, tol=1e-10)) < 1e-8
-    u = np.linspace(0.0, 1.0, grid)
+    u = np.linspace(0.0, 1.0, 2001)
     envelope = k.slope_sup() * np.minimum(u, 1.0 - u)
     assert np.all(np.abs(np.asarray(k.g(u), dtype=float)) <= envelope + 1e-12)

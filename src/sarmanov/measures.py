@@ -165,15 +165,15 @@ class MeasureReport:
         }
 
 
-def _sectioned_se(values_per_row: np.ndarray, statistic, groups: int = SE_GROUPS) -> tuple[float, float]:
+def _sectioned_se(values_per_row: np.ndarray, statistic) -> tuple[float, float]:
     """(estimate, se) where the se comes from the spread of the statistic on
-    ``groups`` disjoint sections. Captures the true estimator variance under
+    SE_GROUPS disjoint sections. Captures the true estimator variance under
     dependence at O(n) cost."""
     n = values_per_row.shape[0]
     est = statistic(values_per_row)
-    size = n // groups
-    vals = np.array([statistic(values_per_row[i * size:(i + 1) * size]) for i in range(groups)])
-    return float(est), float(vals.std(ddof=1) / math.sqrt(groups))
+    size = n // SE_GROUPS
+    vals = np.array([statistic(values_per_row[i * size:(i + 1) * size]) for i in range(SE_GROUPS)])
+    return float(est), float(vals.std(ddof=1) / math.sqrt(SE_GROUPS))
 
 
 def empirical_measures(

@@ -223,9 +223,9 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
     return out, np.concatenate((flat, rows[ends[1] - ends[0] > xtol]))
 
 
-def sign_changes(f: Callable, breakpoints: Sequence[float] = (), n_grid: int = 20_001) -> bool:
+def sign_changes(f: Callable, breakpoints: Sequence[float] = ()) -> bool:
     """True iff f takes both signs on (0, 1), ignoring |f| <= 1e-12 dust."""
-    xs = np.linspace(0.0, 1.0, n_grid)
+    xs = np.linspace(0.0, 1.0, 20_001)
     xs = np.union1d(xs, [b for b in breakpoints if 0.0 < b < 1.0])
     vals = np.asarray(f(xs), dtype=float)
     return bool(np.any(vals > 1e-12) and np.any(vals < -1e-12))

@@ -1,5 +1,6 @@
 """Latent Bernoulli laws: moments, admissibility, symmetry, sampling."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarmanov.bernoulli import (
+    AdmissibilityCertificate,
     BivariateThetaSpec,
     ExchangeableSumSpec,
     FullPmfSpec,
@@ -181,6 +183,50 @@ class TestAdmissibility:
         pmf[0] = 1.0
         with pytest.raises(DimensionTooLarge):
             FullPmfSpec(pmf)
+
+
+def large_laws():
+    """d = 20 laws whose certificate and sampler need no 2^d table."""
+    w = np.random.default_rng(5).random(21)
+    w = (w + w[::-1]) / (w + w[::-1]).sum()
+    return [epd(20), ExchangeableSumSpec(w), independent(np.linspace(0.1, 0.9, 20)),
+            comonotone(np.linspace(0.1, 0.9, 20))]
+
+
+class TestCertificateGate:
+    """The certificate holds the verdict and the violations, never the pmf."""
+
+    def test_fields_are_the_verdict_and_its_evidence(self):
+        names = [f.name for f in dataclasses.fields(AdmissibilityCertificate)]
+        assert names == ["passed", "violations", "theta_interval", "note"]
+
+    @pytest.mark.parametrize("law", large_laws(), ids=["epd", "dense_w", "independent", "comonotone"])
+    def test_gate_never_builds_the_table(self, law, monkeypatch):
+        def no_table(self):
+            raise AssertionError("the admissibility gate built the 2^d pmf")
+
+        monkeypatch.setattr(type(law), "_pmf_table", no_table)
+        assert admissibility_check(law).passed
+        assert sample_indices(law, 1000, seed=1).shape == (1000, 20)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_full_pmf_violations_match_state_loop(self, d):
+        rng = np.random.default_rng(100 + d)
+        size = 1 << d
+        pmf = rng.random(size)
+        picks = rng.permutation(size)
+        neg = picks[:max(1, size // 8)]
+        pmf[neg] = -rng.uniform(1e-11, 0.25 / size, neg.size)
+        if d > 2:  # dust is clamped and never listed
+            pmf[picks[-2:]] = [-1e-12, -1e-12 * rng.random()]
+        pos = pmf > 0
+        pmf[pos] *= (1.0 - pmf[~pos].sum()) / pmf[pos].sum()
+        reference = [
+            ("".join(str((s >> m) & 1) for m in range(d)), float(v))
+            for s, v in enumerate(pmf) if v < -1e-12
+        ]
+        cert = admissibility_check(FullPmfSpec(pmf))
+        assert reference and cert.violations == reference and not cert.passed
 
 
 class TestPalindromic:

@@ -11,6 +11,7 @@ import pytest
 
 import sarmanov
 from sarmanov import cli
+from sarmanov.bernoulli import ExchangeableSumSpec
 from sarmanov.cli import CSV_BLOCK_ROWS, main
 from sarmanov.sampling import SampleBatch
 
@@ -133,6 +134,41 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "exchangeable_sum"
+
+    @staticmethod
+    def law_config(path, d, bernoulli):
+        path.write_text(json.dumps({
+            "schema": "sarmanov-config/1", "d": d,
+            "margins": [{"kernel": {"id": "fgm"}}] * d, "bernoulli": bernoulli,
+        }))
+        return path
+
+    def test_json_carries_kind_pis_and_pmf(self, tmp_path, capsys):
+        pmf = {"000": 0.2, "100": 0.1, "010": 0.15, "110": 0.05,
+               "001": 0.05, "101": 0.15, "011": 0.1, "111": 0.2}
+        for d, law, kind, table in (
+            (3, {"variant": "full_pmf", "pmf": pmf}, "full_pmf", pmf),
+            (8, {"variant": "named", "name": "epd"}, "exchangeable_sum",
+             {"0" * 8: 0.5, "1" * 8: 0.5}),
+        ):
+            cfg = self.law_config(tmp_path / f"law{d}.json", d, law)
+            assert main(["validate", "--config", str(cfg)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["kind"] == kind and payload["pis"] == [0.5] * d
+            assert [bits[::-1] for bits, _ in payload["pmf"]] == [
+                format(s, f"0{d}b") for s in range(1 << d)]
+            assert {bits: p for bits, p in payload["pmf"] if p} == table
+
+    def test_json_beyond_d8_builds_no_pmf(self, tmp_path, capsys, monkeypatch):
+        def no_table(self):
+            raise AssertionError("validate built a pmf it does not print")
+
+        monkeypatch.setattr(ExchangeableSumSpec, "_pmf_table", no_table)
+        cfg = self.law_config(tmp_path / "epd9.json", 9, {"variant": "named", "name": "epd"})
+        assert main(["validate", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "exchangeable_sum" and payload["pis"] == [0.5] * 9
+        assert "pmf" not in payload
 
 
 class TestBounds:

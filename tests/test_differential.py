@@ -3,17 +3,27 @@
 Each example draws d in 2..5 and a latent law (a full pmf that may have
 negative entries, an exchangeable sum law, or the comonotone coupling).
 Every margin is the power-type calibrated pair F0 = x^(1/(1-pi)) whose pi
-matches the law, so any law can be assembled into a copula.
+matches the law, so any law can be assembled into a copula. The orthant
+check uses pi = 1/2 catalog margins with rational kernel areas instead, and
+the sampling check compares state frequencies on fixed-seed laws.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sarmanov.bernoulli import ExchangeableSumSpec, FullPmfSpec, comonotone
-from sarmanov.calibration import explicit_pair
+from sarmanov.bernoulli import (
+    ExchangeableSumSpec,
+    FullPmfSpec,
+    comonotone,
+    independent,
+    sample_indices,
+)
+from sarmanov.calibration import calibrate_from_kernel, explicit_pair
 from sarmanov.copula import SarmanovCopula, d_increasing_oracle
-from sarmanov.measures import orthant_rho
+from sarmanov.kernels import DEFAULT_PARAMS, catalog_lookup
+from sarmanov.measures import _orthant, orthant_rho, orthant_rho_exact
 
 ORACLE_GRID = {2: 16, 3: 8}
 
@@ -80,3 +90,45 @@ def test_certificate_agrees_with_oracle(data):
     c = data.draw(copulas(max_d=3))
     report = d_increasing_oracle(c.cdf, c.d, ORACLE_GRID[c.d])
     assert report.passed or not c.bern.admissibility_check().passed
+
+
+EXACT_HALF_KERNELS = ("fgm", "checkerboard", "lee_quadratic")  # pi = 1/2, rational kappa
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_and_float_orthant_agree(data):
+    d = data.draw(st.integers(2, 5))
+    if data.draw(st.booleans()):
+        raw = weights(data.draw, 1 << d)
+        law = FullPmfSpec((raw + raw[np.arange(1 << d) ^ ((1 << d) - 1)]) / 2)
+    else:
+        raw = weights(data.draw, d + 1)
+        law = ExchangeableSumSpec((raw + raw[::-1]) / 2)
+    ids = data.draw(st.lists(st.sampled_from(EXACT_HALF_KERNELS), min_size=d, max_size=d))
+    c = SarmanovCopula(tuple(calibrate_from_kernel(catalog_lookup(k, DEFAULT_PARAMS.get(k, {})))
+                             for k in ids), law)
+    exact, approx = orthant_rho_exact(c), _orthant(c, float)
+    assert max(abs(float(e) - a) for e, a in zip(exact, approx)) <= 1e-14
+
+
+def frequency_laws():
+    rng = np.random.default_rng(20)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            w = rng.random(d + 1)
+            yield FullPmfSpec(rng.dirichlet(np.ones(1 << d)))
+            yield ExchangeableSumSpec(w / w.sum())
+            yield comonotone(rng.uniform(0.1, 0.9, d))
+            yield independent(rng.uniform(0.1, 0.9, d))
+
+
+@pytest.mark.parametrize("law", list(frequency_laws()), ids=lambda law: f"{law.kind}-{law.d}")
+def test_sample_frequencies_match_pmf(law):
+    # 560 state checks over the 60 laws: at 5 SE the chance of any false
+    # alarm is below 1e-3; zero-probability states must never be drawn
+    n = 20_000
+    pmf = law.pmf_table()
+    states = sample_indices(law, n, seed=7) @ (1 << np.arange(law.d))
+    freq = np.bincount(states, minlength=pmf.size) / n
+    assert np.all(np.abs(freq - pmf) <= 5 * np.sqrt(pmf * (1 - pmf) / n))
