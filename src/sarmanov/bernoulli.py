@@ -266,8 +266,11 @@ class FullPmfSpec(BernoulliSpec):
         return float(np.dot(self._pmf, factor))
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        bad = np.flatnonzero(self._raw < -PMF_CLAMP).tolist()
-        return self._certificate([(state_bitstring(s, self.d), float(self._raw[s])) for s in bad])
+        bad = np.flatnonzero(self._raw < -PMF_CLAMP)
+        # state_bitstring for all states at once: one ASCII digit per margin
+        digits = (((bad[:, None] >> np.arange(self.d)) & 1) + ord("0")).astype(np.uint8)
+        bits = digits.view(f"S{self.d}").ravel().astype(str)
+        return self._certificate(list(zip(bits.tolist(), self._raw[bad].tolist())))
 
     def _sample(self, n, rng):
         states = _draw_categorical(self._pmf, n, rng)

@@ -165,15 +165,86 @@ class MeasureReport:
         }
 
 
-def _sectioned_se(values_per_row: np.ndarray, statistic) -> tuple[float, float]:
-    """(estimate, se) where the se comes from the spread of the statistic on
-    SE_GROUPS disjoint sections. Captures the true estimator variance under
-    dependence at O(n) cost."""
-    n = values_per_row.shape[0]
-    est = statistic(values_per_row)
-    size = n // SE_GROUPS
-    vals = np.array([statistic(values_per_row[i * size:(i + 1) * size]) for i in range(SE_GROUPS)])
+def _sectioned_se(values: np.ndarray, statistic) -> tuple[float, float]:
+    """(estimate, se). ``statistic`` maps a batch (g, size, ...) to g values:
+    one call on the full sample, one on all SE_GROUPS disjoint sections (the
+    remainder rows left out), whose spread gives the se. Captures the true
+    estimator variance under dependence at O(n) cost."""
+    size = values.shape[0] // SE_GROUPS
+    est = statistic(values[None])[0]
+    vals = statistic(values[:size * SE_GROUPS].reshape(SE_GROUPS, size, *values.shape[1:]))
     return float(est), float(vals.std(ddof=1) / math.sqrt(SE_GROUPS))
+
+
+def _first_in_run(sv: np.ndarray) -> np.ndarray:
+    """Position of the first element of each element's run of equal values,
+    along the last axis of sorted ``sv``."""
+    new = np.ones(sv.shape, bool)
+    new[..., 1:] = sv[..., 1:] != sv[..., :-1]
+    return np.maximum.accumulate(np.where(new, np.arange(sv.shape[-1]), 0), axis=-1)
+
+
+def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (min, max) rank of each value within its row of ``v``
+    (..., s); tied values share both."""
+    s = v.shape[-1]
+    order = np.argsort(v, axis=-1)
+    sv = np.take_along_axis(v, order, axis=-1)
+    first, last = np.empty(v.shape, np.intp), np.empty(v.shape, np.intp)
+    np.put_along_axis(first, order, _first_in_run(sv), axis=-1)
+    np.put_along_axis(last, order, s - 1 - _first_in_run(sv[..., ::-1])[..., ::-1], axis=-1)
+    return first, last
+
+
+def _spearman_rows(rows: np.ndarray) -> np.ndarray:
+    """Spearman's rho per row of a batch (g, s, 2), as scipy.stats.spearmanr
+    computes it: the Pearson correlation of average ranks, NaN for a constant
+    column. The rank sums are exact below s = 2e5, and the divisions follow
+    np.corrcoef, so the values agree with scipy's to the last bit there."""
+    s = rows.shape[1]
+    x, y = (np.add(*_ranks(rows[..., k])) - (s - 1.0) for k in (0, 1))  # 2 x centred ranks
+    k = 1.0 / (s - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant column gives 0 / 0
+        rho = ((x * y).sum(-1) * k) / np.sqrt((y * y).sum(-1) * k) / np.sqrt((x * x).sum(-1) * k)
+    return np.clip(rho, -1.0, 1.0)
+
+
+LEAF = 16  # the inversion count brute-forces blocks of this many elements
+
+
+def _inversions(a: np.ndarray) -> np.ndarray:
+    """Pairs i < j with a_i > a_j in each row of an integer array (g, s) with
+    values in [0, s): brute force within LEAF-element blocks, then a
+    bottom-up merge count over all rows at once."""
+    g, s = a.shape
+    width = max(LEAF, 1 << (s - 1).bit_length())
+    pad = np.full((g, width - s), s, a.dtype)  # above every value: adds no pair
+    a = np.concatenate([a, pad], axis=1).reshape(g, -1, LEAF)
+    inv = ((a[..., :, None] > a[..., None, :]) & np.triu(np.ones((LEAF, LEAF), bool), 1)).sum(axis=(1, 2, 3))
+    a, span = np.sort(a, axis=-1), LEAF
+    while span < width:
+        a = a.reshape(g, -1, 2 * span)
+        order = np.argsort(a, axis=-1, kind="stable")  # merges the sorted halves, left first among equals
+        # the j-th right-half element, merged to position p, is below span - (p - j) left ones
+        right_pos = (np.arange(2 * span) * (order >= span)).sum(axis=-1)
+        inv += (span * span + span * (span - 1) // 2 - right_pos).sum(axis=-1)
+        a, span = np.take_along_axis(a, order, axis=-1), 2 * span
+    return inv
+
+
+def _kendall_rows(rows: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b per row of a batch (g, s, 2), with the tie counts and
+    formula of scipy.stats.kendalltau: NaN when a column is constant."""
+    s = rows.shape[1]
+    (x0, x1), (y0, y1) = _ranks(rows[..., 0]), _ranks(rows[..., 1])
+    xtie, ytie = (x1 - x0).sum(-1) // 2, (y1 - y0).sum(-1) // 2  # tied pairs
+    key = np.sort(x0 * s + y0, axis=-1)  # order by x, then y
+    ntie = (np.arange(s) - _first_in_run(key)).sum(-1)  # pairs tied in both
+    dis = _inversions(key % s)
+    tot = s * (s - 1) // 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant column gives 0 / 0
+        tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return np.clip(tau, -1.0, 1.0)
 
 
 def empirical_measures(
@@ -181,7 +252,9 @@ def empirical_measures(
     copula: SarmanovCopula | None = None,
 ) -> MeasureReport:
     """Rank-based Spearman/Kendall estimates (d = 2) plus plug-in orthant
-    coefficients, each with sectioned standard errors.
+    coefficients, each with sectioned standard errors. The SE_GROUPS
+    sections are evaluated in one batched pass, with ties handled as scipy
+    does (average ranks, tau-b).
 
     Both orthant estimates are unbiased O(n) sample functionals:
     integral of Pi dC is the mean of prod(U_m), and integral of C du equals
@@ -207,14 +280,17 @@ def empirical_measures(
 
     if d == 2:
         stats = sys.modules[__name__].stats  # through the module, so a replaced attribute is honoured
-        for key, rank_corr in (("rho_s", stats.spearmanr), ("tau", stats.kendalltau)):
-            rep.empirical[key], rep.se[key] = _sectioned_se(
-                rows, lambda r, f=rank_corr: f(r[:, 0], r[:, 1]).statistic)
+
+        def kendall(r):  # on one long row, scipy's Cython merge count is 3x faster than the batched one
+            return _kendall_rows(r) if len(r) > 1 else np.array([stats.kendalltau(*r[0].T).statistic])
+
+        rep.empirical["rho_s"], rep.se["rho_s"] = _sectioned_se(rows, _spearman_rows)
+        rep.empirical["tau"], rep.se["tau"] = _sectioned_se(rows, kendall)
 
     coef = (d + 1) / (2 ** d - (d + 1))
     for key, vals in (("rho_plus", rows.prod(axis=1)), ("rho_minus", (1.0 - rows).prod(axis=1))):
         rep.empirical[key], rep.se[key] = _sectioned_se(
-            vals, lambda v: coef * (2 ** d * float(v.mean()) - 1.0))
+            vals, lambda v: coef * (2 ** d * v.mean(axis=-1) - 1.0))
 
     for key, emp in rep.empirical.items():
         if key in rep.analytic and rep.se.get(key, 0.0) > 0.0:
