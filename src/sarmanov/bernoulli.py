@@ -20,15 +20,14 @@ Variants:
 Everything that depends on the law is a ``BernoulliSpec`` hook:
 
 * ``_pmf_table``          -- the flat pmf (``pmf_table`` enforces d <= 20),
-* ``_moment``             -- one mixed moment theta_S,
+* ``_moment``             -- one mixed moment theta_S (default: exact ``mix``),
 * ``_sample``             -- n index states from a generator,
 * ``admissibility_check`` -- the nonnegativity certificate: the verdict and
                              the negative entries, never the 2^d table,
-* ``expansion``           -- sum_{|S|>=2} theta_S prod_{m not in S} a_m
-                             prod_{m in S} b_m, the one sum behind the cdf
-                             and the orthant coefficients; the default
-                             contracts the ``thetas_by_mask`` table, exchangeable
-                             laws collapse subsets of equal size.
+* ``mix``                 -- E prod_m (a_m + b_m Z_m), Z_m = (I_m - pi_m)/pi_m,
+                             behind the cdf, the orthant coefficients and
+                             the moments; only the default needs the 2^d
+                             pmf table.
 
 States are encoded as integers with bit m carrying I_{m+1}; exported
 bitstrings list margin 1 first.
@@ -38,8 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -138,6 +138,12 @@ def _moment_transform(pmf_flat: np.ndarray, pis: np.ndarray) -> np.ndarray:
     return T.reshape(-1)
 
 
+def _factors(a, b, pis):
+    """(f0_m, f1_m) = (a_m - b_m, a_m + b_m (1 - pi_m)/pi_m), one margin at a
+    time: the factor a_m + b_m Z_m at I_m = 0 and at I_m = 1."""
+    return ((am - bm, am + bm * ((1 - p) / p)) for am, bm, p in zip(a, b, pis))
+
+
 class BernoulliSpec:
     """Common behaviour; concrete laws implement the hooks below."""
 
@@ -156,7 +162,9 @@ class BernoulliSpec:
         raise NotImplementedError
 
     def _moment(self, idx: tuple[int, ...]) -> float:
-        raise NotImplementedError
+        # theta_S = E prod_{m in S} Z_m: (a_m, b_m) = (0, 1) on S, (1, 0) off it
+        on = [m + 1 in idx for m in range(self.d)]
+        return float(self.mix([int(not x) for x in on], [int(x) for x in on], Fraction))
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -164,21 +172,16 @@ class BernoulliSpec:
     def admissibility_check(self) -> AdmissibilityCertificate:
         raise NotImplementedError
 
-    def expansion(self, a, b, num=float):
-        """sum_{|S| >= 2} theta_S prod_{m not in S} a[m] prod_{m in S} b[m].
+    def mix(self, a, b, num=float):
+        """E prod_m (a[m] + b[m] Z_m) over the index states, Z_m = (I_m - pi_m)/pi_m.
 
         ``a[m]``, ``b[m]`` are numbers or arrays of one shape; ``num``
-        (``float`` or ``Fraction``) fixes the arithmetic of the thetas. The
-        theta table is contracted one margin at a time, lowest bit first.
+        (``float`` or ``Fraction``) fixes the arithmetic of the law's weights
+        and margins. The pmf table is contracted one margin at a time.
         """
-        thetas = self.thetas_by_mask()
-        if not thetas:  # independent laws: no 2^d table at any d
-            return num(0)
-        table = [num(0)] * (1 << self.d)
-        for mask, th in thetas.items():
-            table[mask] = num(th)
-        for am, bm in zip(a, b):
-            table = [table[i] * am + table[i + 1] * bm for i in range(0, len(table), 2)]
+        table = [num(p) for p in self.pmf_table()]
+        for f0, f1 in _factors(a, b, [num(p) for p in self.pi]):
+            table = [table[i] * f0 + table[i + 1] * f1 for i in range(0, len(table), 2)]
         return table[0]
 
     # shared --------------------------------------------------------------
@@ -343,23 +346,19 @@ class ExchangeableSumSpec(BernoulliSpec):
             total += wj * inner
         return total
 
-    @cached_property
-    def _theta_ks(self) -> list[Fraction]:
-        """theta_2..theta_d, computed once per law."""
-        return [self.theta_k_exact(k) for k in range(2, self.d + 1)]
-
     def _moment(self, idx):
         return float(self.theta_k_exact(len(idx)))
 
-    def expansion(self, a, b, num=float):
-        # theta_S depends on |S| only, so the sum is sum_k theta_k times the
-        # t^k coefficient of prod_m (a_m + t b_m): O(d^2) instead of O(2^d)
+    def mix(self, a, b, num=float):
+        # the states with j ones share mass w_j / C(d, j), so the sum runs over
+        # the t^j coefficients of prod_m (f0_m + t f1_m): O(d^2), no 2^d table
         c = [num(1)] + [num(0)] * self.d
-        for m, (am, bm) in enumerate(zip(a, b)):
+        for m, (f0, f1) in enumerate(_factors(a, b, [num(self._pi_frac)] * self.d)):
             for k in range(m + 1, 0, -1):  # c[k] = 0 for k > m + 1
-                c[k] = c[k] * am + c[k - 1] * bm
-            c[0] = c[0] * am
-        return sum((num(t) * c[k] for k, t in enumerate(self._theta_ks, 2)), num(0))
+                c[k] = c[k] * f0 + c[k - 1] * f1
+            c[0] = c[0] * f0
+        return sum((num(wj) / math.comb(self.d, j) * c[j] for j, wj in enumerate(self._w_frac) if wj),
+                   num(0))
 
     def _pmf_table(self) -> np.ndarray:
         states = np.arange(1 << self.d)
@@ -390,8 +389,8 @@ class IndependentSpec(BernoulliSpec):
 
     kind = "independent"
 
-    def _moment(self, idx):
-        return 0.0
+    def mix(self, a, b, num=float):
+        return math.prod(a, start=num(1))
 
     def thetas_by_mask(self) -> dict[int, float]:
         return {}
@@ -416,23 +415,17 @@ class ComonotoneSpec(BernoulliSpec):
 
     kind = "comonotone"
 
-    def _moment(self, idx):
-        # integrate prod Z over the threshold intervals of V (exactly)
-        ps = sorted(Fraction(float(self.pi[m1 - 1])) for m1 in idx)
-        k = len(ps)
-        total = Fraction(0)
-        prev = Fraction(0)
-        for i in range(k + 1):
-            # V in (prev, ps[i]] switches on thresholds with index >= i
-            upper = ps[i] if i < k else Fraction(1)
-            length = upper - prev
-            if length > 0:
-                prod = Fraction(1)
-                for j, p in enumerate(ps):
-                    prod *= (1 - p) / p if j >= i else Fraction(-1)
-                total += length * prod
-            prev = upper
-        return float(total)
+    def mix(self, a, b, num=float):
+        # V between the (k+1)-th and the k-th largest pi switches on the k
+        # margins with the largest pi: d + 1 states, each a prefix product
+        # of f1 times a suffix product of f0 in descending-pi order
+        order = np.argsort(-self.pi, kind="stable")
+        levels = [num(1)] + [num(self.pi[m]) for m in order] + [num(0)]
+        f0, f1 = zip(*_factors([a[m] for m in order], [b[m] for m in order], levels[1:-1]))
+        on = list(accumulate(f1, mul, initial=num(1)))
+        off = list(accumulate(reversed(f0), mul, initial=num(1)))[::-1]
+        return sum(((levels[k] - levels[k + 1]) * on[k] * off[k]
+                    for k in range(self.d + 1) if levels[k] > levels[k + 1]), num(0))
 
     def _pmf_table(self) -> np.ndarray:
         order = np.argsort(-self.pi, kind="stable")  # descending pi

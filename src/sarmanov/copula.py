@@ -1,15 +1,13 @@
 """Copula assembly, evaluation, admissible ranges and the validity oracle.
 
-The d-variate cdf is the subset expansion
-
-    C(u) = prod_m u_m
-         + sum_{|S| >= 2} theta_S (prod_{m not in S} u_m)(prod_{m in S} ghat_m(u_m)),
-
-with ghat_m the induced kernel of margin m and theta_S the normalized mixed
-moments of the latent index law. ``SarmanovCopula.cdf`` hands the sum to
-the law's ``BernoulliSpec.expansion`` hook with (a_m, b_m) = (u_m, ghat_m(u_m)).
-For d = 2 and kernel-built margins this is exactly the classical
-perturbation u1*u2 + a*g1(u1)*g2(u2) with a = Lambda1*Lambda2*theta.
+The d-variate cdf is a mixture of independent components indexed by the
+latent Bernoulli vector I: C(u) = E prod_m F_{m,[I_m]}(u_m), where
+F_{m,[I]}(u) = u + ghat_m(u) Z_m, ghat_m is the induced kernel of margin m
+and Z_m = (I_m - pi_m)/pi_m. ``SarmanovCopula.cdf`` hands it to the law's
+``BernoulliSpec.mix`` hook with (a_m, b_m) = (u_m, ghat_m(u_m)). Every term is
+>= 0 for an admissible law, so the lower tail is accurate in relative terms.
+Expanded over subsets it is the theta sum; for d = 2 and kernel-built margins
+it is the classical u1*u2 + a*g1(u1)*g2(u2) with a = Lambda1*Lambda2*theta.
 
 ``d_increasing_oracle`` is the brute-force validity check this construction
 makes unnecessary: it evaluates every rectangle increment on a grid via
@@ -107,8 +105,7 @@ class SarmanovCopula:
             pts = pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} columns")
-        cols_g = [np.asarray(self.margins[m].g(pts[:, m]), dtype=float) for m in range(self.d)]
-        out = np.prod(pts, axis=1) + self.bern.expansion(list(pts.T), cols_g)
+        out = self.bern.mix(list(pts.T), [np.asarray(p.g(x), dtype=float) for p, x in zip(self.margins, pts.T)])
         return float(out[0]) if single else out
 
     def density(self, u1, u2) -> float | np.ndarray:

@@ -1,17 +1,18 @@
 """Dependence measures: closed forms, global bounds, empirical estimates.
 
-Closed forms for the subset-expansion copulas:
+Closed forms, with kappahat_m the induced kernel areas, Z_m = (I_m - pi_m)/pi_m
+and E the latent law's ``mix`` hook:
 
     rho_S   = 12 * theta_12 * kappahat_1 * kappahat_2              (d = 2)
     tau     = (2/3) * rho_S                                        (d = 2)
-    rho_d^- = c_d * sum_{|S|>=2} 2^|S| theta_S prod_{m in S} kappahat_m
-    rho_d^+ = same with (-1)^|S|,      c_d = (d+1) / (2^d - (d+1))
+    rho_d^- = c_d * (E prod_m (1 + 2 kappahat_m Z_m) - 1),  c_d = (d+1) / (2^d - (d+1))
+    rho_d^+ = same with -2 kappahat_m
 
-with kappahat_m the induced kernel areas. Where the constants are rational
-they are combined exactly and rounded once, so statements like
-"rho_S = 1/3" hold bit-for-bit in binary64. Both tail-dependence
-coefficients vanish for every admissible copula of this family; the
-certified envelope C(u,u)/u <= (1 + |a| L1 L2) u is returned alongside.
+Where the constants are rational they are combined exactly and rounded
+once, so statements like "rho_S = 1/3" hold bit-for-bit in binary64. Both
+tail-dependence coefficients vanish for every admissible copula of this
+family; the certified envelope C(u,u)/u <= (1 + |a| L1 L2) u is returned
+alongside.
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ def _kendall(c: SarmanovCopula, num):
 
 
 def _orthant(c: SarmanovCopula, num):
-    # the sum of the cdf expansion with (a_m, b_m) = (1, +-2 kappahat_m)
+    # the law's mixture with (a_m, b_m) = (1, +-2 kappahat_m)
     kappas = _kappas(c, num)
     if kappas is None:
         return None
     d = c.d
     coef = num(d + 1) / num((1 << d) - (d + 1))
     ones = [num(1)] * d
-    return tuple(coef * c.bern.expansion(ones, [sign * 2 * k for k in kappas], num)
+    return tuple(coef * (c.bern.mix(ones, [sign * 2 * k for k in kappas], num) - 1)
                  for sign in (1, -1))
 
 
@@ -165,15 +166,16 @@ class MeasureReport:
         }
 
 
-def _sectioned_se(values: np.ndarray, statistic) -> tuple[float, float]:
-    """(estimate, se). ``statistic`` maps a batch (g, size, ...) to g values:
-    one call on the full sample, one on all SE_GROUPS disjoint sections (the
-    remainder rows left out), whose spread gives the se. Captures the true
-    estimator variance under dependence at O(n) cost."""
+def _sectioned_se(values: np.ndarray, statistic) -> tuple:
+    """(estimate, se). ``statistic`` maps a batch (g, size, ...) to g values
+    on its last axis, after any statistics on leading axes: one call on the
+    full sample, one on all SE_GROUPS disjoint sections (the remainder rows
+    left out), whose spread gives the se. Captures the true estimator
+    variance under dependence at O(n) cost."""
     size = values.shape[0] // SE_GROUPS
-    est = statistic(values[None])[0]
+    est = statistic(values[None])[..., 0]
     vals = statistic(values[:size * SE_GROUPS].reshape(SE_GROUPS, size, *values.shape[1:]))
-    return float(est), float(vals.std(ddof=1) / math.sqrt(SE_GROUPS))
+    return est.tolist(), (vals.std(axis=-1, ddof=1) / math.sqrt(SE_GROUPS)).tolist()
 
 
 def _first_in_run(sv: np.ndarray) -> np.ndarray:
@@ -196,13 +198,15 @@ def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-def _spearman_rows(rows: np.ndarray) -> np.ndarray:
+def _spearman_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
     """Spearman's rho per row of a batch (g, s, 2), as scipy.stats.spearmanr
     computes it: the Pearson correlation of average ranks, NaN for a constant
     column. The rank sums are exact below s = 2e5, and the divisions follow
-    np.corrcoef, so the values agree with scipy's to the last bit there."""
+    np.corrcoef, so the values agree with scipy's to the last bit there.
+    ``ranks``, the ``_ranks`` of both columns, may be passed in."""
     s = rows.shape[1]
-    x, y = (np.add(*_ranks(rows[..., k])) - (s - 1.0) for k in (0, 1))  # 2 x centred ranks
+    ranks = ranks or map(_ranks, (rows[..., 0], rows[..., 1]))
+    x, y = (np.add(*r) - (s - 1.0) for r in ranks)  # 2 x centred ranks
     k = 1.0 / (s - 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a constant column gives 0 / 0
         rho = ((x * y).sum(-1) * k) / np.sqrt((y * y).sum(-1) * k) / np.sqrt((x * x).sum(-1) * k)
@@ -232,11 +236,12 @@ def _inversions(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _kendall_rows(rows: np.ndarray) -> np.ndarray:
+def _kendall_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
     """Kendall's tau-b per row of a batch (g, s, 2), with the tie counts and
-    formula of scipy.stats.kendalltau: NaN when a column is constant."""
+    formula of scipy.stats.kendalltau: NaN when a column is constant.
+    ``ranks`` as for ``_spearman_rows``."""
     s = rows.shape[1]
-    (x0, x1), (y0, y1) = _ranks(rows[..., 0]), _ranks(rows[..., 1])
+    (x0, x1), (y0, y1) = ranks or map(_ranks, (rows[..., 0], rows[..., 1]))
     xtie, ytie = (x1 - x0).sum(-1) // 2, (y1 - y0).sum(-1) // 2  # tied pairs
     key = np.sort(x0 * s + y0, axis=-1)  # order by x, then y
     ntie = (np.arange(s) - _first_in_run(key)).sum(-1)  # pairs tied in both
@@ -281,11 +286,14 @@ def empirical_measures(
     if d == 2:
         stats = sys.modules[__name__].stats  # through the module, so a replaced attribute is honoured
 
-        def kendall(r):  # on one long row, scipy's Cython merge count is 3x faster than the batched one
-            return _kendall_rows(r) if len(r) > 1 else np.array([stats.kendalltau(*r[0].T).statistic])
+        def rank_statistics(r):
+            if len(r) == 1:  # on one long row, scipy's Cython merge count is 3x faster than the batched one
+                return np.array([_spearman_rows(r), [stats.kendalltau(*r[0].T).statistic]])
+            ranks = [_ranks(r[..., 0]), _ranks(r[..., 1])]  # one ranking of each column serves both
+            return np.stack([_spearman_rows(r, ranks), _kendall_rows(r, ranks)])
 
-        rep.empirical["rho_s"], rep.se["rho_s"] = _sectioned_se(rows, _spearman_rows)
-        rep.empirical["tau"], rep.se["tau"] = _sectioned_se(rows, kendall)
+        (rep.empirical["rho_s"], rep.empirical["tau"]), (rep.se["rho_s"], rep.se["tau"]) = _sectioned_se(
+            rows, rank_statistics)
 
     coef = (d + 1) / (2 ** d - (d + 1))
     for key, vals in (("rho_plus", rows.prod(axis=1)), ("rho_minus", (1.0 - rows).prod(axis=1))):

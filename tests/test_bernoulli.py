@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,31 @@ class TestMixedMoments:
         for S in ([1, 2], [1, 3], [2, 3], [1, 2, 3]):
             assert mixed_moment(spec, S) == pytest.approx(
                 enumerate_theta(pmf, spec.pi, S), abs=1e-14)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_comonotone_equals_threshold_integration(self, d):
+        # the moment as the mixture of indicator columns against the exact
+        # integration over the threshold intervals of V it replaced, bit
+        # for bit; tied margins included
+        def integrate(pis, idx):
+            ps = sorted(Fraction(float(pis[m1 - 1])) for m1 in idx)
+            k, total, prev = len(ps), Fraction(0), Fraction(0)
+            for i in range(k + 1):
+                upper = ps[i] if i < k else Fraction(1)
+                if upper > prev:
+                    prod = Fraction(1)
+                    for j, p in enumerate(ps):
+                        prod *= (1 - p) / p if j >= i else Fraction(-1)
+                    total += (upper - prev) * prod
+                prev = upper
+            return float(total)
+
+        rng = np.random.default_rng(60 + d)
+        for pis in (rng.uniform(0.05, 0.95, d), rng.choice([0.2, 0.5, 0.7], d)):
+            spec = comonotone(pis)
+            for k in range(2, d + 1):
+                for S in itertools.combinations(range(1, d + 1), k):
+                    assert mixed_moment(spec, S) == integrate(spec.pi, S), S
 
     def test_end_numbers_by_enumeration(self):
         spec = end3()

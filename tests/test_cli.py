@@ -332,16 +332,18 @@ class TestMeasure:
         assert payload["analytic"]["rho_s"] == pytest.approx(1 / 6, abs=1e-3)
 
     def test_exchangeable_beyond_pmf_cap(self, tmp_path, capsys):
-        # d = 25 needs no 2^d table: the orthant coefficients use theta_|S|
+        # d = 25 needs no 2^d table: the orthant coefficients sum the
+        # exchangeable law over j, the comonotone one over d + 1 states
         d = 25
-        cfg = tmp_path / "epd25.json"
-        cfg.write_text(json.dumps({
-            "schema": "sarmanov-config/1", "d": d, "margins": [{"kernel": {"id": "fgm"}}] * d,
-            "bernoulli": {"variant": "named", "name": "epd"}, "n": 2000, "seed": 3,
-        }))
-        assert main(["measure", "--config", str(cfg)]) == 0
-        analytic = json.loads(capsys.readouterr().out)["analytic"]
-        assert math.isfinite(analytic["rho_minus"]) and math.isfinite(analytic["rho_plus"])
+        for name in ("epd", "comonotone"):
+            cfg = tmp_path / f"{name}25.json"
+            cfg.write_text(json.dumps({
+                "schema": "sarmanov-config/1", "d": d, "margins": [{"kernel": {"id": "fgm"}}] * d,
+                "bernoulli": {"variant": "named", "name": name}, "n": 2000, "seed": 3,
+            }))
+            assert main(["measure", "--config", str(cfg)]) == 0, name
+            analytic = json.loads(capsys.readouterr().out)["analytic"]
+            assert math.isfinite(analytic["rho_minus"]) and math.isfinite(analytic["rho_plus"])
 
 
 class TestCertify:

@@ -15,6 +15,7 @@ from sarmanov.bernoulli import (
     comonotone,
     epd,
     independent,
+    sample_indices,
     theta_range_bivariate,
 )
 from sarmanov.calibration import calibrate_from_kernel
@@ -175,15 +176,17 @@ class TestCdf:
             SarmanovCopula(pairs, BivariateThetaSpec(0.5, 0.5, 0.2))
 
     def test_dimension_cap(self):
-        # the cap holds only where the law needs its 2^d table; an
-        # independent law has no thetas and evaluates at any d
+        # the cap holds only where a 2^d table is built: the comonotone cdf
+        # and orthant coefficients sum d + 1 states, and an independent law
+        # is the plain product, at any d
         d = 21
         pairs = tuple(calibrate_from_kernel(kernel("fgm")) for _ in range(d))
         c = SarmanovCopula(pairs, comonotone([0.5] * d))
         with pytest.raises(DimensionTooLarge):
-            c.cdf(np.full(d, 0.5))
-        with pytest.raises(DimensionTooLarge):
-            orthant_rho(c)
+            c.bern.pmf_table()
+        # half the mass on all-zeros, half on all-ones: F0(1/2) = 1/4, F1(1/2) = 3/4
+        assert c.cdf(np.full(d, 0.5)) == pytest.approx((0.25 ** d + 0.75 ** d) / 2, rel=1e-15)
+        assert all(math.isfinite(r) for r in orthant_rho(c))
         free = SarmanovCopula(pairs, independent([0.5] * d))
         pts = np.random.default_rng(21).random((50, d))
         assert np.array_equal(free.cdf(pts), pts.prod(axis=1))
@@ -241,33 +244,68 @@ def _subset_orthant_exact(c):
             coef * sum(((-2) ** k * th * ks for k, th, ks in terms), Fraction(0)))
 
 
+def _mixture_orthant_exact(c):
+    """(rho_d^-, rho_d^+) as c_d (E prod_m (1 +- 2 kappahat_m Z_m) - 1), summed
+    over all 2^d states in exact arithmetic, with the weights and margins
+    the law's mix hook reads: Fraction(w_j) / C(d, j) and the exact mean of
+    an exchangeable law, the float pmf and margins otherwise."""
+    bern, d = c.bern, c.d
+    if isinstance(bern, ExchangeableSumSpec):
+        pis = [bern._pi_frac] * d
+        mass = [bern._w_frac[s.bit_count()] / math.comb(d, s.bit_count()) for s in range(1 << d)]
+    else:
+        pis = [Fraction(float(p)) for p in bern.pi]
+        mass = [Fraction(float(p)) for p in bern.pmf_table()]
+    kappas = [p.induced.kappa_exact for p in c.margins]
+    out = []
+    for sign in (1, -1):
+        total = Fraction(0)
+        for s, term in enumerate(mass):
+            for m in range(d):
+                z = (1 - pis[m]) / pis[m] if (s >> m) & 1 else -1
+                term *= 1 + sign * 2 * kappas[m] * z
+            total += term
+        out.append(Fraction(d + 1, (1 << d) - (d + 1)) * (total - 1))
+    return tuple(out)
+
+
 def _pinned_laws(d, rng):
+    """(random-weight laws, laws whose float weights sum to 1 exactly)."""
     raw = rng.random(1 << d)
     pmf = raw + raw[::-1]  # state and complement share mass: pi_m = 1/2
     w = rng.random(d + 1)
-    laws = [FullPmfSpec(pmf / pmf.sum()), ExchangeableSumSpec((w + w[::-1]) / (w + w[::-1]).sum()),
-            comonotone([0.5] * d), epd(d), independent([0.5] * d)]
+    dyadic = [comonotone([0.5] * d), epd(d), independent([0.5] * d)]
     if d == 2:
-        laws.append(BivariateThetaSpec(0.5, 0.5, rng.uniform(-1.0, 1.0)))
-    return laws
+        dyadic.append(BivariateThetaSpec(0.5, 0.5, rng.uniform(-1.0, 1.0)))
+    return [FullPmfSpec(pmf / pmf.sum()), ExchangeableSumSpec((w + w[::-1]) / (w + w[::-1]).sum())], dyadic
 
 
 class TestExpansionHook:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_old_routes(self, d):
-        # the hook against the two cdf routes and the per-subset orthant sum
-        # it replaced; fgm/checkerboard margins keep the orthant route exact
+        # the mixture hook against the two theta cdf routes and the
+        # per-subset orthant sum it replaced; fgm/checkerboard margins keep
+        # the orthant route exact. Where the Fraction weights sum to 1 the
+        # routes agree exactly; otherwise the singleton terms no longer
+        # vanish and they part by an ulp, so the mixture gets its own
+        # exact reference
         rng = np.random.default_rng(100 + d)
         names = ("fgm", "checkerboard", "sin")
         pts = rng.random((300, d))
-        for bern in _pinned_laws(d, rng):
+        random_laws, dyadic_laws = _pinned_laws(d, rng)
+        for bern in random_laws + dyadic_laws:
             exact = tuple(calibrate_from_kernel(kernel(names[m % 2])) for m in range(d))
             floats = tuple(calibrate_from_kernel(kernel(names[m % 3])) for m in range(d))
             for pairs in (exact, floats):
                 c = SarmanovCopula(pairs, bern)
                 assert np.max(np.abs(c.cdf(pts) - _two_route_cdf(c, pts))) <= 1e-15
-            assert orthant_rho_exact(SarmanovCopula(exact, bern)) == _subset_orthant_exact(
-                SarmanovCopula(exact, bern))
+            c = SarmanovCopula(exact, bern)
+            got, theta_ref = orthant_rho_exact(c), _subset_orthant_exact(c)
+            if bern in dyadic_laws:
+                assert got == theta_ref
+            else:
+                assert got == _mixture_orthant_exact(c)
+                assert max(abs(float(g - r)) for g, r in zip(got, theta_ref)) <= 4e-16
 
     def test_exchangeable_d200_matches_monte_carlo(self):
         # no 2^d table is built: the cdf runs the O(d^2) recurrence
@@ -279,14 +317,34 @@ class TestExpansionHook:
             freq = float(np.mean(np.all(rows <= t, axis=1)))
             assert abs(freq - v) <= 4.0 * math.sqrt(v * (1.0 - v) / n)
 
+    def test_comonotone_d200_matches_monte_carlo(self):
+        # d + 1 threshold states, no 2^d table. The cdf is checked against
+        # row frequencies; rho_d^-+ against the mean of
+        # c_d (prod_m (1 +- 2 kappahat_m Z_m) - 1) over sampled index
+        # states, whose d + 1 values keep the sample mean well behaved
+        # (the plug-in row functionals are log-normal-like at this d)
+        d, n = 200, 20_000
+        pairs = tuple(calibrate_from_kernel(kernel("hki", p=p)) for p in (0.5, 1.0, 2.0, 3.0) * 50)
+        c = SarmanovCopula(pairs, comonotone([p.pi for p in pairs]))
+        rows = sample(c, n, seed=7).rows
+        for t in (0.98, 0.99, 0.995, 0.998):
+            v = c.cdf(np.full(d, t))
+            freq = float(np.mean(np.all(rows <= t, axis=1)))
+            assert abs(freq - v) <= 4.0 * math.sqrt(v * (1.0 - v) / n)
+        z = (sample_indices(c.bern, n, seed=8) - c.bern.pi) / c.bern.pi
+        kappas = np.array([p.induced.kappa for p in pairs])
+        coef = (d + 1) / (2.0 ** d - (d + 1))
+        for sign, rho in zip((1, -1), orthant_rho(c)):
+            vals = coef * (np.prod(1.0 + sign * 2.0 * kappas * z, axis=1) - 1.0)
+            assert abs(vals.mean() - rho) <= 4.0 * vals.std(ddof=1) / math.sqrt(n)
+
     def test_exchangeable_thetas_computed_once(self, monkeypatch):
-        # theta_2..theta_d of a dense w cost O(d^3) Fraction operations; a
-        # law computes them on its first expansion call and keeps them
+        # theta_2..theta_d of a dense w cost O(d^3) Fraction operations; the
+        # cdf and the orthant coefficients run the mixture and need none
         d = 40
         w = np.random.default_rng(3).random(d + 1)
         w = (w + w[::-1]) / 2.0
         law = ExchangeableSumSpec(w / w.sum())
-        expected = [law.theta_k_exact(k) for k in range(2, d + 1)]
         calls = []
         original = ExchangeableSumSpec.theta_k_exact
 
@@ -298,8 +356,8 @@ class TestExpansionHook:
         c = SarmanovCopula((calibrate_from_kernel(kernel("sin")),) * d, law)
         pts = np.random.default_rng(4).uniform(0.6, 1.0, (50, d))
         first, second = c.cdf(pts), c.cdf(pts)
-        assert sorted(calls) == list(range(2, d + 1))
-        assert law._theta_ks == expected
+        orthant_rho(c)
+        assert calls == []
         np.testing.assert_array_equal(first, second)
 
 
