@@ -52,7 +52,7 @@ from .errors import (
 from .rng import stream
 
 MAX_FULL_PMF_D = 20
-PMF_CLAMP = 1e-12  # entries in [-PMF_CLAMP, 0) are floating dust, clamped
+PMF_CLAMP = 1e-12  # negative entries summing to >= -PMF_CLAMP are floating dust, clamped
 THETA_DROP = 1e-15  # thetas_by_mask leaves out |theta_S| <= THETA_DROP
 
 
@@ -102,16 +102,26 @@ def _subset_key(S, d: int) -> tuple[int, ...]:
     return idx
 
 
-def _weights(values, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, clamped) probabilities that must total 1. Entries in
-    [-PMF_CLAMP, 0) are floating dust and clamped to 0 in the second copy;
-    the raw copy keeps real violations visible for the certificate."""
+def _weights(values, what: str) -> np.ndarray:
+    """Probabilities that must total 1. Negative entries that sum to no less
+    than -PMF_CLAMP are floating dust and set to 0; with more negative mass
+    than that the law keeps every entry as given and fails its certificate."""
     raw = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(raw)):  # a NaN would pass the sum test below
         raise ValueError(f"{what} must be finite")
     if abs(float(raw.sum()) - 1.0) > 1e-12:
         raise ValueError(f"{what} sum to {float(raw.sum())!r}, not 1")
-    return raw, np.where((raw < 0.0) & (raw >= -PMF_CLAMP), 0.0, raw)
+    if float(np.minimum(raw, 0.0).sum()) >= -PMF_CLAMP:
+        return np.where(raw < 0.0, 0.0, raw)
+    return raw
+
+
+def _violations(weights: np.ndarray) -> np.ndarray:
+    """Indices of the entries a certificate lists: those below -PMF_CLAMP or,
+    when only the negative entries' sum is, all negative entries. Weights
+    whose dust was cleared have none."""
+    bad = np.flatnonzero(weights < -PMF_CLAMP)
+    return bad if bad.size else np.flatnonzero(weights < 0.0)
 
 
 def _draw_categorical(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,8 +256,7 @@ class FullPmfSpec(BernoulliSpec):
             raise ValueError(f"pmf length {pmf.size} is not a power of two")
         if d > MAX_FULL_PMF_D:
             raise DimensionTooLarge(f"full pmf supports d <= {MAX_FULL_PMF_D}, got {d}")
-        self._raw, pmf = _weights(pmf, "pmf entries")
-        self._pmf = pmf
+        self._pmf = pmf = _weights(pmf, "pmf entries")
         states = np.arange(pmf.size)
         derived = np.array([pmf[(states >> m) & 1 == 1].sum() for m in range(d)])
         if pis is not None:
@@ -269,11 +278,11 @@ class FullPmfSpec(BernoulliSpec):
         return float(np.dot(self._pmf, factor))
 
     def admissibility_check(self) -> AdmissibilityCertificate:
-        bad = np.flatnonzero(self._raw < -PMF_CLAMP)
+        bad = _violations(self._pmf)
         # state_bitstring for all states at once: one ASCII digit per margin
         digits = (((bad[:, None] >> np.arange(self.d)) & 1) + ord("0")).astype(np.uint8)
         bits = digits.view(f"S{self.d}").ravel().astype(str)
-        return self._certificate(list(zip(bits.tolist(), self._raw[bad].tolist())))
+        return self._certificate(list(zip(bits.tolist(), self._pmf[bad].tolist())))
 
     def _sample(self, n, rng):
         states = _draw_categorical(self._pmf, n, rng)
@@ -322,7 +331,7 @@ class ExchangeableSumSpec(BernoulliSpec):
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size < 3:
             raise ValueError("need w_0..w_d with d >= 2")
-        self._raw_w, self.w = _weights(w, "weights w_j")
+        self.w = _weights(w, "weights w_j")
         d = w.size - 1
         pi = float(np.dot(np.arange(d + 1), self.w)) / d
         super().__init__(np.full(d, pi))
@@ -373,7 +382,7 @@ class ExchangeableSumSpec(BernoulliSpec):
 
     def admissibility_check(self) -> AdmissibilityCertificate:
         return self._certificate(
-            [(f"w_{j}", float(v)) for j, v in enumerate(self._raw_w) if v < -PMF_CLAMP],
+            [(f"w_{j}", float(self.w[j])) for j in _violations(self.w)],
             note="admissibility for an exchangeable sum law is w_j >= 0",
         )
 

@@ -28,7 +28,23 @@ from .kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
 from .sampling import SAMPLER_VERSION, sample, sample_powered
 
 
-CSV_BLOCK_ROWS = 1 << 14  # sample rows formatted per write
+CSV_BLOCK_ROWS = 1 << 14  # values formatted per block: the rows of a block at d = 1
+
+# "%.17g" of x in [1e-4, 1) is "0." then -E-1 zeros then the 17 digits of
+# D = round(x 10^(16-E)) less their trailing zeros, E = floor(log10 x). A value
+# is laid out in a _ROW-byte row: the leading zeros end at byte 6, the first
+# digit is byte 7 and the other 16 are four aligned 4-byte groups from _DIGITS4.
+_ROW = 28
+_U64 = np.uint64
+_POW5 = np.array([5 ** p for p in range(17, 21)], dtype=_U64)  # 5^(16-E), E = -1..-4
+_QUAD = np.empty((10, 10, 10, 10, 4), np.uint8)  # "0000".."9999", axis k = digit k
+for _k in range(4):
+    _QUAD[..., _k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - _k))
+_DIGITS4 = _QUAD.view(np.uint32).reshape(-1)
+# trailing zeros of abcd: [d = 0] (1 + [c = 0] (1 + [b = 0] (1 + [a = 0])))
+_ZERO = np.arange(10) == 0
+_TRAILING4 = (_ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (
+    1 + _ZERO[:, None, None, None])))).reshape(-1)
 
 
 def _fmt12(x: float) -> str:
@@ -50,13 +66,81 @@ def _write(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _write_rows(fh, rows) -> None:
-    """Write an (n, d) float array as CSV rows of ``%.17g`` values (the same
-    digits as ``f"{x:.17g}"``), one format operation per block of rows."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS]
-        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E) with D = round-half-even(x 10^(16-E)), 10^16 <= D < 10^17, for
+    x in [1e-4, 1): the digits of ``"%.17g" % x``, computed exactly."""
+    # E = floor(log10 x): each double 1e-k lies just above the real 10^-k
+    E = (x >= 1e-3).astype(np.int64) + (x >= 1e-2) + (x >= 1e-1) - 4
+    bits = x.view(_U64)
+    M = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    b = (bits >> _U64(52)).astype(np.int64)  # x = M 2^(b - 1075)
+    # x 10^(16-E) = M 5^(16-E) / 2^s with s in [36, 46]; the product has at
+    # most 100 bits, so it is formed in two 64-bit limbs from 32-bit halves
+    s = (E + 1059 - b).astype(_U64)
+    F = _POW5[-1 - E]
+    m0, m1 = M & _U64(0xFFFFFFFF), M >> _U64(32)
+    f0, f1 = F & _U64(0xFFFFFFFF), F >> _U64(32)
+    low = m0 * f0
+    mid = (low >> _U64(32)) + m0 * f1 + m1 * f0
+    lo = (mid << _U64(32)) | (low & _U64(0xFFFFFFFF))
+    hi = m1 * f1 + (mid >> _U64(32))
+    D = (hi << (_U64(64) - s)) | (lo >> s)
+    half = _U64(1) << (s - _U64(1))
+    rest = lo & (half + half - _U64(1))
+    D += (rest > half) | ((rest == half) & (D & _U64(1) == 1))
+    # no double in [1e-4, 1) lies within half a 17th digit below a power of
+    # ten (they are at least an ulp, 1e-16 relative, away), so D < 10^17
+    return D, E
+
+
+def _csv_bytes(flat: np.ndarray, d: int) -> bytes:
+    """``"%.17g" % x`` of every value, joined by "," and by "\\n" after every
+    d-th: values in [1e-4, 1) from their exact digits, the rest (0, 1,
+    anything below 1e-4 or above 1, negative or not finite) by ``%``."""
+    n = flat.size
+    fast = (flat >= 1e-4) & (flat < 1.0)
+    D, E = _decimal17(np.where(fast, flat, 0.5))  # 0.5 holds the place of the rest
+    buf = np.empty((n, _ROW), np.uint8)
+    buf[:, :7] = ord("0")
+    head, rest = np.divmod(D, _U64(10 ** 16))
+    buf[:, 7] = head + ord("0")
+    high, low = np.divmod(rest, _U64(10 ** 8))
+    quads = np.divmod(high, _U64(10 ** 4)) + np.divmod(low, _U64(10 ** 4))  # 4 digits each
+    words = buf.view(np.uint32)
+    for k, q in enumerate(quads):
+        words[:, 2 + k] = _DIGITS4[q]
+    zeros, run = _TRAILING4[quads[3]], quads[3] == 0  # the first digit is never 0
+    for q in quads[2::-1]:
+        zeros += run * _TRAILING4[q]
+        run &= q == 0
+    rows = np.arange(n)
+    start, end = E + 6, 24 - zeros  # the field is buf[row, start:end], then a separator
+    buf[rows, start + 1] = ord(".")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % v for v in flat[slow].tolist()]
+        size = np.array([len(t) for t in text])
+        at = slow * _ROW - np.cumsum(size) + size
+        buf.reshape(-1)[np.repeat(at, size) + np.arange(size.sum())] = np.frombuffer(
+            "".join(text).encode(), np.uint8)
+        start[slow], end[slow] = 0, size
+    sep = np.full(n, ord(","), np.uint8)
+    sep[d - 1::d] = ord("\n")
+    buf[rows, end] = sep
+    size = end - start + 1
+    index = np.repeat(rows * _ROW + start - np.cumsum(size) + size, size)
+    index += np.arange(index.size)
+    return buf.reshape(-1)[index].tobytes()
+
+
+def _write_rows(out, rows) -> None:
+    """Write an (n, d) float array as CSV rows of ``%.17g`` values to the
+    binary stream ``out``, about CSV_BLOCK_ROWS values per block."""
+    flat = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
+    d = rows.shape[1]
+    step = max(1, CSV_BLOCK_ROWS // d) * d
+    for start in range(0, flat.size, step):
+        out.write(_csv_bytes(flat[start:start + step], d))
 
 
 def _load_config(path: str) -> CopulaConfig:
@@ -199,7 +283,8 @@ def cmd_sample(args) -> int:
     columns = [f"u{m + 1}" for m in range(batch.d)]
     with _opened(args.out) as fh:
         fh.write(",".join(columns) + "\n")
-        _write_rows(fh, batch.rows)
+        fh.flush()  # the header leaves the text layer before the rows
+        _write_rows(fh.buffer, batch.rows)
     meta = {
         "schema": SCHEMA,
         "config_hash": cfg.canonical_hash(),

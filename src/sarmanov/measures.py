@@ -69,6 +69,9 @@ def _kendall(c: SarmanovCopula, num):
 
 
 def _orthant(c: SarmanovCopula, num):
+    if c.d == 2:  # both are rho_S, which stays accurate in relative terms
+        rho = _spearman(c, num)
+        return None if rho is None else (rho, rho)
     # the law's mixture with (a_m, b_m) = (1, +-2 kappahat_m)
     kappas = _kappas(c, num)
     if kappas is None:

@@ -1,13 +1,17 @@
 """Command-line surface: subcommands, exit codes, reproducibility."""
 
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sarmanov
 from sarmanov import cli
@@ -15,7 +19,8 @@ from sarmanov.bernoulli import ExchangeableSumSpec
 from sarmanov.cli import CSV_BLOCK_ROWS, main
 from sarmanov.sampling import SampleBatch
 
-EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1 - 2 ** -53]
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1 - 2 ** -53,
+               1e-4, math.nextafter(1e-4, 0), 0.001, math.nextafter(0.1, 0)]
 
 
 def src_env():
@@ -159,6 +164,18 @@ class TestValidate:
                 format(s, f"0{d}b") for s in range(1 << d)]
             assert {bits: p for bits, p in payload["pmf"] if p} == table
 
+    @pytest.mark.parametrize("w, code", [
+        ([0.5, -1.5e-12, 0.0, 0.5 + 1.5e-12], 1),  # w_1 / 3 is dust, w_1 is not
+        ([0.5 - 6e-13, -4e-13, 0.0, 0.5 + 1e-12], 0),  # dust
+    ])
+    def test_exported_pmf_keeps_its_verdict(self, tmp_path, capsys, w, code):
+        law = self.law_config(tmp_path / "w.json", 3, {"variant": "exchangeable_sum", "w": w})
+        assert main(["validate", "--config", str(law), "--format", "csv"]) == code
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        pmf = {bits: float(p) for bits, p in (r.split(",") for r in rows)}
+        table = self.law_config(tmp_path / "pmf.json", 3, {"variant": "full_pmf", "pmf": pmf})
+        assert main(["validate", "--config", str(table)]) == code
+
     def test_json_beyond_d8_builds_no_pmf(self, tmp_path, capsys, monkeypatch):
         def no_table(self):
             raise AssertionError("validate built a pmf it does not print")
@@ -296,6 +313,69 @@ class TestSample:
                              env=src_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+def percent_rows(rows) -> bytes:
+    """The rows as "%.17g" values joined by "," and "\n", one value at a time."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows.tolist()).encode()
+
+
+def written(rows) -> bytes:
+    out = io.BytesIO()
+    cli._write_rows(out, np.asarray(rows, dtype=float))
+    return out.getvalue()
+
+
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def bits_of(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+class TestCsvKernel:
+    """The vectorised writer puts out the bytes of "%.17g" % x for every value."""
+
+    @given(values=st.lists(st.one_of(
+        st.integers(0, bits_of(1.0)).map(float_of_bits),  # any double in [0, 1]
+        st.integers(bits_of(1e-4), bits_of(1.0)).map(float_of_bits),  # the digit route
+        st.floats(),  # negative, > 1, subnormal, infinite, NaN
+    ), min_size=1, max_size=200), d=st.integers(1, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_percent_format(self, values, d):
+        rows = np.array(values + [0.5] * (-len(values) % d)).reshape(-1, d)
+        assert written(rows) == percent_rows(rows)
+
+    @pytest.mark.parametrize("power", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    def test_ulps_around_powers_of_ten(self, power):
+        rows = np.array([[float_of_bits(bits_of(power) + k)] for k in range(-3000, 3001)])
+        assert written(rows) == percent_rows(rows)
+
+    def test_trailing_zeros_short_decimals_and_ties(self):
+        # 0.001 and 0.01 end in 16 zeros at 17 digits; k / 2^18 with k odd
+        # in [2^17, 2^18) ends in an exact half at the 18th digit
+        values = [0.001, 0.01, 0.1, 0.5, 0.25, 0.125, 0.0625, 0.2, 0.3, 0.7]
+        values += [k / 10 ** j for j in range(1, 8) for k in range(1, 10 ** min(j, 3), 7)]
+        values += [k / 2 ** 18 for k in range(2 ** 17 + 1, 2 ** 18, 14)]
+        rows = np.array(values + [0.5] * (-len(values) % 2)).reshape(-1, 2)
+        assert written(rows) == percent_rows(rows)
+
+    def test_d200_blocks_stay_small(self):
+        rows = np.random.default_rng(200).random((100, 200))
+        rows[::9, ::13] = np.resize(EDGE_VALUES, rows[::9, ::13].shape)
+        values = []  # per write
+
+        class Blocks(io.BytesIO):
+            def write(self, b):
+                values.append(b.count(b",") + b.count(b"\n"))
+                return super().write(b)
+
+        out = Blocks()
+        cli._write_rows(out, rows)
+        assert out.getvalue() == percent_rows(rows)
+        assert sum(values) == rows.size and max(values) <= CSV_BLOCK_ROWS
+        assert all(v % 200 == 0 for v in values)  # whole rows per block
 
 
 class TestMeasure:

@@ -38,7 +38,7 @@ from sarmanov.errors import (
     UnboundedAtOrigin,
 )
 from sarmanov.kernels import Kernel, catalog_lookup, custom_kernel
-from sarmanov.measures import orthant_rho, orthant_rho_exact
+from sarmanov.measures import orthant_rho, orthant_rho_exact, spearman_analytic_exact
 from sarmanov.sampling import sample
 
 
@@ -304,7 +304,10 @@ class TestExpansionHook:
             if bern in dyadic_laws:
                 assert got == theta_ref
             else:
-                assert got == _mixture_orthant_exact(c)
+                # at d = 2 both coefficients are rho_S = 12 theta kappahat_1 kappahat_2
+                mixture = _mixture_orthant_exact(c)
+                assert got == (mixture if d > 2 else (spearman_analytic_exact(c),) * 2)
+                assert max(abs(float(g - r)) for g, r in zip(got, mixture)) <= 4e-16
                 assert max(abs(float(g - r)) for g, r in zip(got, theta_ref)) <= 4e-16
 
     def test_exchangeable_d200_matches_monte_carlo(self):

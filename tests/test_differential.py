@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau, spearmanr
 
 from sarmanov.bernoulli import (
+    PMF_CLAMP,
     ExchangeableSumSpec,
     FullPmfSpec,
+    admissibility_check,
     comonotone,
     independent,
     sample_indices,
@@ -99,6 +101,47 @@ def test_exchangeable_hook_equals_full_table(data):
     pts = points(data.draw, c.d)
     assert np.max(np.abs(c.cdf(pts) - table.cdf(pts))) <= 1e-12
     assert np.max(np.abs(np.subtract(orthant_rho(c), orthant_rho(table)))) <= 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_exported_pmf_keeps_its_verdict(data):
+    # zero weights become dust -c 1e-12 (c in [0, 3]), so the negative mass
+    # of the law falls on either side of -PMF_CLAMP; its per-state table is
+    # what `validate --format csv` exports and `full_pmf` reloads
+    d = data.draw(st.integers(2, 8))
+    w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                    min_size=d + 1, max_size=d + 1)))
+    assume(w.sum() > 0.1)
+    w /= w.sum()
+    dust = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=d + 1, max_size=d + 1)))
+    w = np.where(w == 0.0, -dust * PMF_CLAMP, w)
+    w[np.argmax(w)] += 1.0 - w.sum()
+    negative = math.fsum(np.minimum(w, 0.0))
+    # at the clamp itself the verdict rests on how the export rounds w_j / C(d, j)
+    assume(abs(negative + PMF_CLAMP) > 1e-6 * PMF_CLAMP)
+    try:
+        law = ExchangeableSumSpec(w)
+    except ValueError:  # margin outside (0, 1)
+        assume(False)
+    table = FullPmfSpec(law.pmf_table())
+    verdict = negative >= -PMF_CLAMP
+    assert admissibility_check(law).passed == admissibility_check(table).passed == verdict
+    assert (np.min(law.pmf_table()) >= 0.0) == verdict
+
+
+@pytest.mark.parametrize("w", [
+    [0.5, -1.000000000001e-12, 0.5 + 1.000000000001e-12],
+    [0.0, 0.7272727272737851, 0.36363636363689256, -1.4545454545475701e-12, -0.09090909090922314],
+])
+def test_dust_band_laws_agree_with_their_table(w):
+    # each w_j / C(d, j) is above -PMF_CLAMP, but the negative mass is not
+    law = ExchangeableSumSpec(w)
+    table = FullPmfSpec(law.pmf_table())
+    assert not admissibility_check(law).passed and not admissibility_check(table).passed
+    c = SarmanovCopula(tuple(power_pair(float(p)) for p in law.pi), law)
+    t = SarmanovCopula(c.margins, table)
+    assert np.max(np.abs(np.subtract(orthant_rho(c), orthant_rho(t)))) <= 1e-12
 
 
 def exact_exchangeable_cdf(c, u) -> Fraction:

@@ -131,6 +131,12 @@ class TestOrthant:
         lo, hi = orthant_rho(c)
         assert lo == hi == spearman_analytic(c)
 
+    @pytest.mark.parametrize("theta", [1e-6, -1e-6, 1e-12, 0.3])
+    def test_d2_weak_dependence_keeps_rho_s_digits(self, theta):
+        # mix(...) - 1 would leave an absolute error of about 5e-16 here
+        c = make_bivariate(kernel("sin"), kernel("sin"), theta=theta)
+        assert orthant_rho(c) == (spearman_analytic(c), spearman_analytic(c))
+
     def test_odd_killing_equalizes_orthants(self):
         for d in (3, 4, 5, 7):
             c = exchangeable("fgm", epd(d))
