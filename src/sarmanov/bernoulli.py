@@ -103,13 +103,15 @@ def _subset_key(S, d: int) -> tuple[int, ...]:
 
 
 def _weights(values, what: str) -> np.ndarray:
-    """Probabilities that must total 1. Negative entries that sum to no less
-    than -PMF_CLAMP are floating dust and set to 0; with more negative mass
-    than that the law keeps every entry as given and fails its certificate."""
+    """Probabilities that must total 1, to 1e-12 of the entries' absolute
+    mass plus PMF_CLAMP. Negative entries that sum to no less than -PMF_CLAMP
+    are floating dust and set to 0, so a law totals up to 1 + PMF_CLAMP and
+    its exported table must still load; with more negative mass than that
+    the law keeps every entry as given and fails its certificate."""
     raw = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(raw)):  # a NaN would pass the sum test below
         raise ValueError(f"{what} must be finite")
-    if abs(float(raw.sum()) - 1.0) > 1e-12:
+    if abs(float(raw.sum()) - 1.0) > 1e-12 * max(1.0, float(np.abs(raw).sum())) + PMF_CLAMP:
         raise ValueError(f"{what} sum to {float(raw.sum())!r}, not 1")
     if float(np.minimum(raw, 0.0).sum()) >= -PMF_CLAMP:
         return np.where(raw < 0.0, 0.0, raw)
@@ -339,7 +341,9 @@ class ExchangeableSumSpec(BernoulliSpec):
         self._pi_frac = sum(j * wj for j, wj in enumerate(self._w_frac)) / d
 
     def theta_k_exact(self, k: int) -> Fraction:
-        """Size-k moment by exact hypergeometric summation over the sum law."""
+        """Size-k moment by exact hypergeometric summation over the sum law:
+        a reference for ``mixed_moment``, which runs ``mix`` on the same
+        rationals."""
         if not 2 <= k <= self.d:
             raise SubsetTooSmall(f"need 2 <= k <= d, got k={k}")
         d, pi = self.d, self._pi_frac
@@ -354,9 +358,6 @@ class ExchangeableSumSpec(BernoulliSpec):
                 inner += hyper * z1 ** i * Fraction(-1) ** (k - i)
             total += wj * inner
         return total
-
-    def _moment(self, idx):
-        return float(self.theta_k_exact(len(idx)))
 
     def mix(self, a, b, num=float):
         # the states with j ones share mass w_j / C(d, j), so the sum runs over

@@ -23,7 +23,7 @@ from .copula import (
     admissible_a_interval,
     d_increasing_oracle,
 )
-from .errors import ConfigError, NotAdmissible, NotAdmissibleForTransformed, SarmanovError
+from .errors import ConfigError, NotAdmissible, SarmanovError
 from .kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
 from .sampling import SAMPLER_VERSION, sample, sample_powered
 
@@ -178,25 +178,18 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _powered_payload(valid: bool, a: float, interval, note: str, r=None, pis=None) -> dict:
-    """Certificate of a powered configuration; ``r`` and ``pis`` only when it was built."""
-    payload = {
-        "valid": valid, "kind": "powered", "r": r, "a": a,
-        "sufficient_interval": list(interval), "sufficient_only": True,
-        "note": note, "pis": pis,
-    }
-    return {key: val for key, val in payload.items() if val is not None}
-
-
 def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
-    if isinstance(model, PoweredCopula):
-        payload = _powered_payload(
-            True, model.a, model.sufficient_interval,
-            "interval from the transformed kernels; the true range may be wider",
-            r=model.r, pis=[p.pi for p in model.base.margins],
-        )
-        return payload, True
-    cert = model.bern.admissibility_check()
+    powered = isinstance(model, PoweredCopula)
+    cert = (model.base if powered else model).bern.admissibility_check()  # the one gate
+    if powered:
+        payload = {
+            "valid": bool(cert.passed), "kind": "powered", "r": model.r, "a": model.a,
+            "sufficient_interval": list(model.sufficient_interval), "sufficient_only": True,
+            "note": "interval from the transformed kernels; the true range may be wider"
+            if cert.passed else f"base law fails nonnegativity: {cert.violations}",
+            "pis": [p.pi for p in model.base.margins],
+        }
+        return payload, bool(cert.passed)
     payload = {
         "valid": bool(cert.passed),
         "kind": model.bern.kind,
@@ -221,12 +214,7 @@ def _pmf_rows(model) -> list[tuple[str, float]]:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        model = cfg.build()
-    except NotAdmissibleForTransformed as e:
-        payload = _powered_payload(False, e.a, e.interval, str(e))
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-        return 1
+    model = cfg.build()
     payload, ok = _certificate_payload(cfg, model)
     if args.format == "csv":
         # pmf table export: one row per latent state
@@ -389,7 +377,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, SarmanovError) as e:
-        if isinstance(e, (NotAdmissible, NotAdmissibleForTransformed)):
+        if isinstance(e, NotAdmissible):
             print(f"inadmissible: {e}", file=sys.stderr)
             return 1
         print(f"error: {e}", file=sys.stderr)

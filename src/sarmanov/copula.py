@@ -28,7 +28,6 @@ from .errors import (
     DegenerateKernel,
     DimensionTooLarge,
     NoDerivative,
-    NotAdmissibleForTransformed,
     ParamOutOfRange,
     UnboundedAtOrigin,
 )
@@ -56,7 +55,9 @@ class SarmanovCopula:
 
     Construction does not require admissibility -- the cdf of an
     inadmissible parameter choice is still a well-defined function that the
-    oracle can flunk -- but sampling does.
+    oracle can flunk -- but sampling does: ``sample_indices`` is the one
+    gate, and it refuses a law whose pmf has negative entries. Powered
+    copulas follow the same rule through their base copula.
     """
 
     margins: tuple[CalibratedPair, ...]
@@ -315,9 +316,11 @@ class PoweredCopula:
 
     ``base`` is the auxiliary copula with transformed kernels x*h(x^r);
     sampling r of its draws and taking componentwise maxima to the r-th
-    power realizes C_{a,r} exactly. The stored interval is the sufficient
-    admissible range derived from the transformed kernels; the true range
-    may be wider (unknown).
+    power realizes C_{a,r} exactly, so ``SarmanovCopula``'s rule applies to
+    ``base``: any ``a`` builds, and the base law's pmf is the verdict.
+    ``sufficient_interval``, the range of ``a`` the transformed kernels
+    admit, is kept for reporting; C_{a,r} itself may be a copula on a wider
+    range.
     """
 
     h1: Callable
@@ -339,20 +342,12 @@ class PoweredCopula:
 
 
 def build_powered(k1: Kernel, k2: Kernel, a: float, r: int) -> PoweredCopula:
-    """Powered copula from two base kernels g_m = u*h_m(u) and scalar a.
-
-    ``a`` must lie in the transformed-kernel admissible interval
-    (sufficient condition); NotAdmissibleForTransformed reports the
-    interval otherwise.
-    """
+    """Powered copula from two base kernels g_m = u*h_m(u) and any scalar a."""
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ParamOutOfRange(f"power r must be an integer >= 1, got {r!r}")
     r = int(r)
     t1, t2 = transform_kernel(k1, r), transform_kernel(k2, r)
     interval = admissible_a_interval(t1, t2)
-    slack = 1e-12 * max(1.0, abs(interval[0]), abs(interval[1]))
-    if not (interval[0] - slack <= a <= interval[1] + slack):
-        raise NotAdmissibleForTransformed(a, interval)
     base = make_bivariate(t1, t2, a=a)
     return PoweredCopula(
         h1=normalized_kernel(k1), h2=normalized_kernel(k2),

@@ -71,18 +71,6 @@ class NotAdmissible(SarmanovError, ValueError):
     """Bernoulli law has a negative pmf entry; sampling refused."""
 
 
-class NotAdmissibleForTransformed(SarmanovError, ValueError):
-    """Powered-family scalar lies outside the transformed-kernel interval."""
-
-    def __init__(self, a: float, interval: tuple[float, float]):
-        self.a = a
-        self.interval = interval
-        super().__init__(
-            f"a={a} outside the sufficient admissible interval "
-            f"[{interval[0]}, {interval[1]}] of the transformed kernels"
-        )
-
-
 # --- batches / measurement -------------------------------------------------
 
 

@@ -60,7 +60,8 @@ def _spearman(c: SarmanovCopula, num):
     if c.d != 2:
         raise ValueError("bivariate measure")
     ks = _kappas(c, num)
-    return None if ks is None else 12 * num(c.bern.mixed_moment((1, 2))) * ks[0] * ks[1]
+    # + num(0) turns a float -0.0 (theta < 0 times a zero area) into 0.0
+    return None if ks is None else 12 * num(c.bern.mixed_moment((1, 2))) * ks[0] * ks[1] + num(0)
 
 
 def _kendall(c: SarmanovCopula, num):

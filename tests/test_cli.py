@@ -120,6 +120,16 @@ class TestValidate:
         payload = json.loads(capsys.readouterr().out)
         assert not payload["valid"] and payload["sufficient_only"]
 
+    def test_large_theta_is_inadmissible_not_malformed(self, tmp_path, capsys):
+        # the pmf entries are ~1e5 each; their sum is 1 only to ~3e-11
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "schema": "sarmanov-config/1", "d": 2, "theta": 1e6,
+            "margins": [{"kernel": {"id": "norm_lee"}}, {"kernel": {"id": "lee_exponential"}}],
+        }))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert not json.loads(capsys.readouterr().out)["valid"]
+
     def test_csv_pmf_export(self, fgm_config, capsys):
         assert main(["validate", "--config", str(fgm_config), "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -395,6 +405,17 @@ class TestMeasure:
         assert float(rows["rho_s"][1]) == pytest.approx(1 / 3)
         assert rows["lambda_l"][1] == "0" and rows["lambda_l"][2] == ""
 
+    def test_zero_analytic_values_print_unsigned(self, tmp_path, capsys):
+        # legendre2 has kernel area 0, so rho_s = 12 theta kappa1 * 0 with theta < 0
+        cfg = write_config(tmp_path / "nz.json", a=-0.778, margins=[
+            {"kernel": {"id": "fgm_damped"}}, {"kernel": {"id": "legendre2"}}])
+        assert main(["measure", "--config", str(cfg), "--n", "1000"]) == 0
+        analytic = json.loads(capsys.readouterr().out)["analytic"]
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in analytic.values())
+        assert main(["measure", "--config", str(cfg), "--n", "1000", "--format", "csv"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert {row[1] for row in rows} == {"0"}
+
     def test_explicit_pair_margins(self, tmp_path, capsys):
         u = np.linspace(0, 1, 2001)
         cfg = tmp_path / "pair.json"
@@ -490,6 +511,44 @@ class TestCertify:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["certify", "--config", str(cfg), "--grid", "12"]) == 0
         capsys.readouterr()
+
+
+class TestPoweredGate:
+    """A powered config builds for any a; its base law's pmf is the verdict,
+    and certify checks the powered cdf itself."""
+
+    KEYS = ["valid", "kind", "r", "a", "sufficient_interval", "sufficient_only", "note", "pis"]
+
+    def test_gap_refused_by_sampler_passed_by_oracle(self, tmp_path, capsys):
+        # fgm x fgm at r = 2: the base law admits [-1/4, 1/2], the powered
+        # copula is valid on [-1/2, 1/2]
+        cfg = write_config(tmp_path / "gap.json", a=-0.4, r=2)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == self.KEYS
+        assert not payload["valid"] and payload["r"] == 2 and len(payload["pis"]) == 2
+        assert main(["sample", "--config", str(cfg)]) == 1
+        assert main(["measure", "--config", str(cfg), "--n", "1000"]) == 1
+        assert "law fails nonnegativity" in capsys.readouterr().err
+        assert main(["certify", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+    def test_oracle_fails_past_the_copula_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "past.json", a=-0.55, r=2)
+        assert main(["certify", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+
+    def test_large_a_is_inadmissible_not_malformed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "big.json", a=1e5, r=3, margins=[
+            {"kernel": {"id": "sin"}}, {"kernel": {"id": "sin"}}])
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert not json.loads(capsys.readouterr().out)["valid"]
+
+    @pytest.mark.parametrize("a", [0.25, -0.4, 0.9])
+    def test_csv_pmf_export_is_usage_error(self, tmp_path, capsys, a):
+        cfg = write_config(tmp_path / "pw.json", a=a, r=2)
+        assert main(["validate", "--config", str(cfg), "--format", "csv"]) == 2
+        assert "unpowered" in capsys.readouterr().err
 
 
 class TestConfigRules:

@@ -33,13 +33,15 @@ from sarmanov.errors import (
     DegenerateKernel,
     DimensionTooLarge,
     NoDerivative,
-    NotAdmissibleForTransformed,
+    NotAdmissible,
     ParamOutOfRange,
     UnboundedAtOrigin,
 )
-from sarmanov.kernels import Kernel, catalog_lookup, custom_kernel
+from sarmanov.kernels import DEFAULT_PARAMS, Kernel, catalog_lookup, custom_kernel
 from sarmanov.measures import orthant_rho, orthant_rho_exact, spearman_analytic_exact
-from sarmanov.sampling import sample
+from sarmanov.sampling import sample, sample_powered
+
+POWERED_KERNELS = ("fgm", "hki", "hkii", "bkb", "sin", "sin_squared", "fgm_damped")
 
 
 def kernel(name, **params):
@@ -507,10 +509,25 @@ class TestPowered:
         assert pw.sufficient_interval == (-0.25, 0.5)
 
     def test_out_of_interval_rejected_with_report(self):
-        with pytest.raises(NotAdmissibleForTransformed) as exc:
-            build_powered(kernel("fgm"), kernel("fgm"), a=0.9, r=3)
-        lo, hi = exc.value.interval
-        assert hi == pytest.approx(1 / 3, abs=1e-12)
+        # any a builds; the sampler refuses the inadmissible base law
+        pw = build_powered(kernel("fgm"), kernel("fgm"), a=0.9, r=3)
+        assert pw.sufficient_interval[1] == 1 / 3
+        assert not pw.base.bern.admissibility_check().passed
+        with pytest.raises(NotAdmissible):
+            sample_powered(pw, 10, seed=0)
+
+    @pytest.mark.parametrize("name", POWERED_KERNELS)
+    def test_base_gate_matches_interval_off_its_ends(self, name):
+        # the base law's pmf passes at each end of the transformed-kernel
+        # interval and 1e-9 inside it, and fails 1e-9 outside it
+        k = kernel(name, **DEFAULT_PARAMS.get(name, {}))
+        for r in (1, 2, 3):
+            lo, hi = build_powered(k, k, a=0.0, r=r).sufficient_interval
+            for end in (lo, hi):
+                for step, passed in ((0.0, True), (-1e-9, True), (1e-9, False)):
+                    a = end * (1.0 + step)  # lo < 0 < hi: step > 0 is outward
+                    cert = build_powered(k, k, a=a, r=r).base.bern.admissibility_check()
+                    assert cert.passed == passed, (r, end, step)
 
     def test_non_integer_power_rejected(self):
         with pytest.raises(ParamOutOfRange):

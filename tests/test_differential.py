@@ -10,7 +10,7 @@ lower-tail checks hold the exchangeable cdf to a relative bound against an
 exact mixture sum, on hki margins whose pi matches the law. The
 batched rank statistics of ``measures`` are checked against scipy, row by
 row, and ``empirical_measures`` against the per-section scipy loop it
-replaced.
+replaced. Exchangeable mixed moments must equal ``theta_k_exact`` bit for bit.
 """
 
 import math
@@ -29,6 +29,7 @@ from sarmanov.bernoulli import (
     FullPmfSpec,
     admissibility_check,
     comonotone,
+    epd,
     independent,
     sample_indices,
 )
@@ -103,6 +104,30 @@ def test_exchangeable_hook_equals_full_table(data):
     assert np.max(np.abs(np.subtract(orthant_rho(c), orthant_rho(table)))) <= 1e-12
 
 
+def rounded(moment):
+    """float(moment()), or "overflow" for a moment beyond the float range
+    (tiny margins pi give theta_S ~ pi^(1-|S|))."""
+    try:
+        return float(moment())
+    except OverflowError:
+        return "overflow"
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exchangeable_moment_equals_exact_reference(data):
+    # mixed_moment runs the mixture hook on the law's rationals and rounds
+    # once, so it is the hypergeometric sum's value to the last bit
+    d = data.draw(st.integers(2, 12))
+    try:
+        law = epd(d) if data.draw(st.integers(0, 4)) == 0 else ExchangeableSumSpec(weights(data.draw, d + 1))
+    except ValueError:  # margin outside (0, 1)
+        assume(False)
+    for k in range(2, d + 1):
+        S = data.draw(st.sets(st.integers(1, d), min_size=k, max_size=k))
+        assert rounded(lambda: law.mixed_moment(S)) == rounded(lambda: law.theta_k_exact(k))
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_exported_pmf_keeps_its_verdict(data):
@@ -128,6 +153,14 @@ def test_exported_pmf_keeps_its_verdict(data):
     verdict = negative >= -PMF_CLAMP
     assert admissibility_check(law).passed == admissibility_check(table).passed == verdict
     assert (np.min(law.pmf_table()) >= 0.0) == verdict
+
+
+def test_cleared_dust_law_exports_a_loadable_table():
+    # clearing -0.99999e-12 leaves weights that total 1 + 1.00009e-12; a sum
+    # test of 1e-12 alone refused the exported table (Hypothesis example)
+    law = ExchangeableSumSpec([0.5 + 0.99999e-12, -0.99999e-12, 0.5])
+    table = FullPmfSpec(law.pmf_table())
+    assert admissibility_check(law).passed and admissibility_check(table).passed
 
 
 @pytest.mark.parametrize("w", [
