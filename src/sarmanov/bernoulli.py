@@ -46,6 +46,7 @@ import numpy as np
 from .errors import (
     DimensionTooLarge,
     MarginsNotHalf,
+    MomentOverflow,
     NotAdmissible,
     SubsetTooSmall,
 )
@@ -54,6 +55,8 @@ from .rng import stream
 MAX_FULL_PMF_D = 20
 PMF_CLAMP = 1e-12  # negative entries summing to >= -PMF_CLAMP are floating dust, clamped
 THETA_DROP = 1e-15  # thetas_by_mask leaves out |theta_S| <= THETA_DROP
+PI_FLOOR = 2.0 ** -52  # margins need min(pi, 1 - pi) >= PI_FLOOR
+MARGINS_OUTSIDE = "all margins must lie in [2^-52, 1 - 2^-52], got pi = {}"
 
 
 def state_bitstring(s: int, d: int) -> str:
@@ -163,8 +166,10 @@ class BernoulliSpec:
 
     def __init__(self, pis: np.ndarray):
         self.pi = np.asarray(pis, dtype=float)
-        if not np.all((self.pi > 0.0) & (self.pi < 1.0)):  # also rejects NaN
-            raise ValueError("all margins must lie strictly inside (0,1)")
+        # a margin within rounding of 0 or 1 has moments ~ pi^(1 - |S|) past
+        # the float range and per-state tables whose margins round to 0 or 1
+        if not np.all(np.minimum(self.pi, 1.0 - self.pi) >= PI_FLOOR):  # also rejects NaN
+            raise ValueError(MARGINS_OUTSIDE.format(self.pi.tolist()))
         self.d = int(self.pi.size)
         self._theta_cache: dict[tuple[int, ...], float] = {}
         self._mask_cache: dict[int, float] | None = None
@@ -213,7 +218,10 @@ class BernoulliSpec:
         """theta_S for a subset of 1-based margin indices, |S| >= 2."""
         idx = _subset_key(S, self.d)
         if idx not in self._theta_cache:
-            self._theta_cache[idx] = self._moment(idx)
+            try:
+                self._theta_cache[idx] = self._moment(idx)
+            except OverflowError as e:
+                raise MomentOverflow(f"theta_S for S = {idx} exceeds the float range") from e
         return self._theta_cache[idx]
 
     def thetas_by_mask(self) -> dict[int, float]:
@@ -335,10 +343,14 @@ class ExchangeableSumSpec(BernoulliSpec):
             raise ValueError("need w_0..w_d with d >= 2")
         self.w = _weights(w, "weights w_j")
         d = w.size - 1
-        pi = float(np.dot(np.arange(d + 1), self.w)) / d
-        super().__init__(np.full(d, pi))
         self._w_frac = [Fraction(x) for x in self.w]
         self._pi_frac = sum(j * wj for j, wj in enumerate(self._w_frac)) / d
+        pi = float(np.dot(np.arange(d + 1), self.w)) / d
+        # the floor is tested on the exact margin, which the float pi can
+        # round onto (and which the exported table's margin sums round past)
+        if min(self._pi_frac, 1 - self._pi_frac) < PI_FLOOR:
+            raise ValueError(MARGINS_OUTSIDE.format([float(self._pi_frac)] * d))
+        super().__init__(np.full(d, pi))
 
     def theta_k_exact(self, k: int) -> Fraction:
         """Size-k moment by exact hypergeometric summation over the sum law:
@@ -389,9 +401,11 @@ class ExchangeableSumSpec(BernoulliSpec):
 
     def _sample(self, n, rng):
         j = _draw_categorical(self.w, n, rng)
-        scores = rng.random((n, self.d))
-        ranks = scores.argsort(axis=1).argsort(axis=1)
-        return (ranks < j[:, None]).astype(np.uint8)
+        # the j smallest of d uniform scores switch their margins on
+        order = rng.random((n, self.d)).argsort(axis=1)
+        out = np.empty((n, self.d), dtype=np.uint8)
+        np.put_along_axis(out, order, np.arange(self.d) < j[:, None], axis=1)
+        return out
 
 
 class IndependentSpec(BernoulliSpec):

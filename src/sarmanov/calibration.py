@@ -189,8 +189,11 @@ def component_quantile(pair: CalibratedPair, which: int, q) -> np.ndarray | floa
     """Quantile of component ``which`` (0 or 1) at probability level(s) q.
 
     Uses the analytic inverse when the pair carries one, otherwise
-    ``invert_cdf``: a tabulated bracket refined by Illinois regula falsi to
-    2^-44, leftmost like bisection (flat segments resolve to their left endpoint).
+    ``invert_cdf``: a guess from F's cached inverse table, accepted when F at
+    its two ends -/+ 2^-45 brackets q, and the tabulated bracket refined by
+    Illinois regula falsi where it is not. Either route ends on a bracket
+    2^-44 wide and is leftmost like bisection (flat segments resolve to their
+    left endpoint).
     """
     if which not in (0, 1):
         raise ValueError("component index must be 0 or 1")

@@ -67,6 +67,10 @@ class MarginsNotHalf(SarmanovError, ValueError):
     """Operation requires all Bernoulli margins equal to 1/2."""
 
 
+class MomentOverflow(SarmanovError, OverflowError):
+    """A mixed moment lies beyond the float range."""
+
+
 class NotAdmissible(SarmanovError, ValueError):
     """Bernoulli law has a negative pmf entry; sampling refused."""
 

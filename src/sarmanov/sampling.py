@@ -21,9 +21,10 @@ from .calibration import MarginSampler
 from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
-#: bumped whenever sample bytes change on purpose; 2 = tabulated bracket plus
-#: Illinois regula falsi for numeric quantiles (1 was 60-step bisection)
-SAMPLER_VERSION = 2
+#: bumped whenever sample bytes change on purpose; 3 = numeric quantiles
+#: guessed from a cached inverse table and checked with two F evaluations
+#: (2 was a tabulated bracket plus Illinois regula falsi, 1 60-step bisection)
+SAMPLER_VERSION = 3
 
 
 @dataclass(frozen=True)

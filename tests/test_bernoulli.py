@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarmanov import bernoulli as bn
 from sarmanov.bernoulli import (
+    PI_FLOOR,
     AdmissibilityCertificate,
     BivariateThetaSpec,
     ExchangeableSumSpec,
@@ -27,9 +29,12 @@ from sarmanov.bernoulli import (
 from sarmanov.errors import (
     DimensionTooLarge,
     MarginsNotHalf,
+    MomentOverflow,
     NotAdmissible,
+    SarmanovError,
     SubsetTooSmall,
 )
+from sarmanov.rng import stream
 
 
 def enumerate_theta(pmf, pis, S):
@@ -320,11 +325,58 @@ class TestSampling:
         with pytest.raises(NotAdmissible):
             sample_indices(BivariateThetaSpec(0.5, 0.5, 1.2), 100, seed=0)
 
+    @pytest.mark.parametrize("d", [3, 10, 40])
+    def test_exchangeable_states_match_double_argsort(self, d):
+        # one argsort scattering arange(d) < j gives the states that ranking
+        # the scores (argsort of argsort) and comparing with j gave
+        w = np.random.default_rng(d).random(d + 1)
+        spec = ExchangeableSumSpec(w / w.sum())
+        rng = stream(5, 0)
+        j = bn._draw_categorical(spec.w, 5000, rng)
+        ranks = rng.random((5000, d)).argsort(axis=1).argsort(axis=1)
+        expected = (ranks < j[:, None]).astype(np.uint8)
+        got = sample_indices(spec, 5000, seed=5)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+
     def test_deterministic_given_seed(self):
         spec = ExchangeableSumSpec([0.25, 0.25, 0.25, 0.25])
         a = sample_indices(spec, 1000, seed=77)
         b = sample_indices(spec, 1000, seed=77)
         np.testing.assert_array_equal(a, b)
+
+
+class TestMarginsNearZeroOrOne:
+    def test_margin_within_an_ulp_of_one_is_refused(self):
+        # the float pi rounds to 1 - 2^-52, but the exact margin is
+        # 1 - 8.9e-17, and the per-state table's margin sums round to 1.0:
+        # the law and its exported table are refused alike
+        w = np.array([0, 0, 0, 0, 2.220446049250313e-16, 0.5])
+        w /= w.sum()
+        with pytest.raises(ValueError, match="2\\^-52"):
+            ExchangeableSumSpec(w)
+        ones = np.array([bin(s).count("1") for s in range(32)])
+        table = w[ones] / np.array([1, 5, 10, 10, 5, 1])[ones]
+        with pytest.raises(ValueError, match="2\\^-52"):
+            FullPmfSpec(table)
+
+    def test_subnormal_margin_is_refused(self):
+        with pytest.raises(ValueError, match="2\\^-52"):
+            ExchangeableSumSpec([1.0, 0.0, 2.2250738585e-313])
+
+    def test_floor_itself_is_accepted(self):
+        assert ExchangeableSumSpec([1.0 - PI_FLOOR, 0.0, PI_FLOOR]).pi[0] == PI_FLOOR
+
+    def test_moment_beyond_the_float_range_is_a_library_error(self):
+        # pi = 2^-50 and d = 30: theta_[d] ~ pi^(1 - d) overflows
+        d, p = 30, 2.0 ** -50
+        w = np.zeros(d + 1)
+        w[0], w[d] = 1.0 - p, p
+        law = ExchangeableSumSpec(w)
+        with pytest.raises(MomentOverflow) as err:
+            law.mixed_moment(range(1, d + 1))
+        assert isinstance(err.value, SarmanovError)
+        assert isinstance(err.value, OverflowError)
 
 
 class TestScale:

@@ -1,10 +1,14 @@
 """Calibrated pairs: mixture identity, quantiles, reflection symmetry."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarmanov import numerics
 from sarmanov.calibration import (
     MarginSampler,
     calibrate_from_kernel,
@@ -17,6 +21,7 @@ from sarmanov.errors import DegenerateKernel, NotCalibrated, NotMonotone
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, custom_kernel
 from sarmanov.numerics import (
     CHUNK_ROWS,
+    INVERSE_TABLES,
     TABLE_BITS,
     bisect_cdf,
     bracket_search,
@@ -207,7 +212,9 @@ class TestNumericInversion:
         pair = NUMERIC_PAIRS[name]()
         q = np.concatenate([EDGE_Q, np.random.default_rng(17).random(500)])
         for F in (pair.F0, pair.F1):
-            u, ref = invert_cdf(F, q), bisect_cdf(F, q)
+            numerics._inverses.clear()
+            u, ref = invert_cdf(F, q), bisect_cdf(F, q)  # cold: builds F's inverse table
+            np.testing.assert_array_equal(invert_cdf(F, q), u)  # warm
             assert np.max(np.abs(u - ref)) <= 1e-12
             assert np.all(F(u) >= q)
             # leftmost: no crossing 1e-9 earlier. Within 1e-9 of 0 and 1 that
@@ -215,6 +222,76 @@ class TestNumericInversion:
             # lee_exponential F0 at q <= 1e-300 and on exp_bridge F1 at q = 1)
             check = (u >= 1e-9) & (q >= 1e-9) & (q <= 1.0 - 1e-9)
             assert np.all(F(u[check] - 1e-9) < q[check])
+
+    def test_colliding_table_is_checked_against_the_callers_F(self):
+        # F2 equals F on the 2^12 + 1 table points, so it finds F's inverse
+        # table in the cache, but between them it is F at shifted points
+        F = pair_for("sin").F0
+        cells = 1 << TABLE_BITS
+
+        def F2(u):
+            u = np.asarray(u, dtype=float)
+            shifted = u + 0.5 * np.sin(2 * np.pi * cells * u) / (2 * np.pi * cells)
+            return np.where(np.mod(u * cells, 1.0) == 0.0, F(u), F(shifted))
+
+        q = np.concatenate([EDGE_Q, np.random.default_rng(4).random(3000)])
+        invert_cdf(F, q)
+        held = len(numerics._inverses)
+        u = invert_cdf(F2, q)
+        assert len(numerics._inverses) == held  # no table of its own
+        assert np.max(np.abs(u - bisect_cdf(F2, q))) <= 1e-12
+        assert np.all(F2(u) >= q)
+        check = (u >= 1e-9) & (q >= 1e-9)
+        assert np.all(F2(u[check] - 1e-9) < q[check])
+        assert np.max(np.abs(u - invert_cdf(F, q))) > 1e-9  # F2 is not F
+
+    def test_cache_stays_at_its_bound(self):
+        q = np.random.default_rng(2).random(50)
+        for k in range(INVERSE_TABLES + 5):
+            F = lambda u, e=1.0 + k / 64: np.asarray(u, dtype=float) ** e  # noqa: E731
+            u = invert_cdf(F, q)
+            assert np.max(np.abs(u - q ** (1 / (1.0 + k / 64)))) <= 1e-12
+        assert len(numerics._inverses) == INVERSE_TABLES
+
+    def test_concurrent_callers_get_the_single_thread_bytes(self):
+        # four threads share the cache, with more distinct F than it holds
+        cdfs = [lambda u, e=1.0 + k / 50: np.asarray(u, dtype=float) ** e
+                for k in range(INVERSE_TABLES + 16)]
+        q = np.random.default_rng(12).random(300)
+        numerics._inverses.clear()
+        expected = [invert_cdf(F, q) for F in cdfs]
+        numerics._inverses.clear()
+        got, interval = {}, sys.getswitchinterval()
+
+        def work(t):
+            got[t] = [invert_cdf(F, q) for F in cdfs[t:] + cdfs[:t]]
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(4):
+            for u, ref in zip(got[t], expected[t:] + expected[:t]):
+                np.testing.assert_array_equal(u, ref)
+        assert len(numerics._inverses) == INVERSE_TABLES
+
+    def test_warm_sin_costs_two_and_a_half_evaluations_per_draw(self):
+        F, points = pair_for("sin").F0, [0]
+
+        def counted(u):
+            points[0] += np.size(u)
+            return F(u)
+
+        q = np.random.default_rng(3).random(200_000)
+        invert_cdf(F, q[:10])  # same table, so the counted calls find it warm
+        invert_cdf(counted, q)
+        assert points[0] / q.size <= 2.5
 
     def test_rows_beyond_one_chunk_keep_their_shape(self):
         F = pair_for("sin").F0

@@ -252,7 +252,7 @@ class TestSample:
         out = tmp_path / "rows.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
-        assert meta["sampler"] == 2
+        assert meta["sampler"] == 3
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 
@@ -635,6 +635,17 @@ class TestConfigRules:
                                    "bernoulli": bernoulli}))
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    def test_margin_within_rounding_of_one_is_usage_error(self, tmp_path, capsys, command):
+        w = np.array([0, 0, 0, 0, 2.220446049250313e-16, 0.5])
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps({"schema": "sarmanov-config/1", "d": 5,
+                                   "margins": [{"kernel": {"id": "fgm"}}] * 5,
+                                   "bernoulli": {"variant": "exchangeable_sum",
+                                                 "w": (w / w.sum()).tolist()}}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "2^-52" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sample", "measure"])
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n", "-3"], ["--n", "0"]],

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from sarmanov import numerics
 from sarmanov.bernoulli import BivariateThetaSpec, end3, epd, independent
 from sarmanov.calibration import calibrate_from_kernel
 from sarmanov.copula import SarmanovCopula, build_powered, make_bivariate
 from sarmanov.errors import NotAdmissible
-from sarmanov.kernels import catalog_lookup
+from sarmanov.kernels import DEFAULT_PARAMS, catalog_lookup
 from sarmanov.numerics import ks_statistic
 from sarmanov.rng import stream
 from sarmanov.sampling import sample, sample_powered
@@ -16,6 +17,10 @@ from sarmanov.sampling import sample, sample_powered
 def fgm_copula(a):
     k = catalog_lookup("fgm")
     return make_bivariate(k, k, a=a)
+
+
+def kernel(name):
+    return catalog_lookup(name, DEFAULT_PARAMS.get(name, {}))
 
 
 def trivariate(kernel_name, bern):
@@ -55,6 +60,23 @@ class TestReproducibility:
         a = sample(c, 5000, seed=5)
         b = sample(c, 5000, seed=5)
         np.testing.assert_array_equal(a.rows, b.rows)
+
+    def test_numeric_bytes_do_not_depend_on_earlier_samples(self):
+        # numeric quantiles read a process-wide cache of inverse tables; a
+        # cold cache, a warm one and one filled by other models give one sample
+        target = make_bivariate(catalog_lookup("sin"), catalog_lookup("hkii", {"q": 2}), a=1.0)
+        others = [make_bivariate(kernel(a), kernel(b), a=0.5)
+                  for a, b in (("norm_lee", "lee_exponential"), ("sin_asym", "lai_xie"),
+                               ("bkb", "sin_squared"))]
+        numerics._inverses.clear()
+        cold = sample(target, 20_000, seed=3).rows
+        warm = sample(target, 20_000, seed=3).rows
+        numerics._inverses.clear()
+        for c in others:
+            sample(c, 5000, seed=8)
+        after_others = sample(target, 20_000, seed=3).rows
+        np.testing.assert_array_equal(cold, warm)
+        np.testing.assert_array_equal(cold, after_others)
 
     def test_different_seeds_differ(self):
         c = fgm_copula(0.8)
