@@ -259,7 +259,7 @@ class FullPmfSpec(BernoulliSpec):
 
     kind = "full_pmf"
 
-    def __init__(self, pmf, pis=None):
+    def __init__(self, pmf):
         pmf = np.asarray(pmf, dtype=float).reshape(-1)
         d = int(round(math.log2(pmf.size)))
         if 1 << d != pmf.size:
@@ -268,12 +268,7 @@ class FullPmfSpec(BernoulliSpec):
             raise DimensionTooLarge(f"full pmf supports d <= {MAX_FULL_PMF_D}, got {d}")
         self._pmf = pmf = _weights(pmf, "pmf entries")
         states = np.arange(pmf.size)
-        derived = np.array([pmf[(states >> m) & 1 == 1].sum() for m in range(d)])
-        if pis is not None:
-            pis = np.asarray(pis, dtype=float)
-            if np.max(np.abs(pis - derived)) > 1e-12:
-                raise ValueError("declared margins disagree with the pmf margins")
-        super().__init__(derived)
+        super().__init__([pmf[(states >> m) & 1 == 1].sum() for m in range(d)])
 
     def _pmf_table(self) -> np.ndarray:
         return self._pmf

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -100,16 +99,12 @@ def calibrate_from_kernel(k: Kernel) -> CalibratedPair:
         params=dict(k.params),
         g=lambda u, k=k, L=Lambda: L * np.asarray(k.g(u)),
         phi=(lambda u, k=k, L=Lambda: L * np.asarray(k.phi(u))) if k.phi is not None else None,
-        Lambda=1.0,  # sup of Lambda*phi is Lambda/Lambda
-        lam=lam / Lambda,
-        kappa=Lambda * k.kappa,
+        Lambda=1,  # sup of Lambda*phi is Lambda/Lambda
+        # exact when both operands are, and rounded once
+        lam=k.constant("lam") / k.constant("Lambda"),
+        kappa=k.constant("Lambda") * k.constant("kappa"),
         sign_constant=k.sign_constant,
         breakpoints=k.breakpoints,
-        Lambda_exact=Fraction(1) if k.Lambda_exact is not None else None,
-        lam_exact=(k.lam_exact / k.Lambda_exact
-                   if (k.lam_exact is not None and k.Lambda_exact is not None) else None),
-        kappa_exact=(k.Lambda_exact * k.kappa_exact
-                     if (k.Lambda_exact is not None and k.kappa_exact is not None) else None),
     )
     inv0, inv1 = _analytic_inverses(k)
     return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced,
@@ -171,18 +166,18 @@ def explicit_pair(
     return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced)
 
 
-def reflection_check(pair: CalibratedPair, tol: float = REFLECTION_TOL) -> bool:
-    """True iff F1(u) = 1 - F0(1-u) on the grid and pi = 1/2.
+def reflection_check(pair: CalibratedPair) -> bool:
+    """True iff F1(u) = 1 - F0(1-u) on the grid and pi = 1/2, to REFLECTION_TOL.
 
     This is the per-margin half of radial symmetry: together with a
     palindromic index law it makes the sampled vector symmetric about 1/2.
     """
-    if abs(pair.pi - 0.5) > tol:
+    if abs(pair.pi - 0.5) > REFLECTION_TOL:
         return False
     grid = np.union1d(_GRID, [b for b in pair.breakpoints if 0 < b < 1])
     lhs = np.asarray(pair.F1(grid), dtype=float)
     rhs = 1.0 - np.asarray(pair.F0(1.0 - grid), dtype=float)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - rhs)) <= REFLECTION_TOL)
 
 
 def component_quantile(pair: CalibratedPair, which: int, q) -> np.ndarray | float:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, measures
-from .bernoulli import state_bitstring
+from .bernoulli import state_bitstring, theta_range_bivariate
 from .config import SCHEMA, CopulaConfig
 from .copula import (
     PoweredCopula,
@@ -233,15 +233,13 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
     if cfg.d != 2:
         raise ConfigError("bounds reporting is bivariate; use validate for d >= 3")
-    pairs = cfg.margin_pairs()
-    from .bernoulli import theta_range_bivariate
-
-    th_lo, th_hi = theta_range_bivariate(pairs[0].pi, pairs[1].pi)
-    k1h, k2h = pairs[0].induced.kappa, pairs[1].induced.kappa
-    rho_ends = (12.0 * th_lo * k1h * k2h, 12.0 * th_hi * k1h * k2h)
+    model = cfg.copula()  # refuses margins outside the floor, as validate does
+    pairs = model.margins
+    theta_interval = theta_range_bivariate(pairs[0].pi, pairs[1].pi)
+    rho_ends = [measures.spearman_analytic(model, th) for th in theta_interval]
     payload = {
         "pis": [pairs[0].pi, pairs[1].pi],
-        "theta_interval": [th_lo, th_hi],
+        "theta_interval": list(theta_interval),
         "rho_interval": [min(rho_ends), max(rho_ends)],
         "rho_global": list(measures.rho_global_bounds().interval),
         "rho_global_attained_by": measures.rho_global_bounds().attained_by,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,8 +39,8 @@ import numpy as np
 from . import bernoulli as bn
 from .calibration import CalibratedPair, calibrate_from_kernel, explicit_pair
 from .copula import PoweredCopula, SarmanovCopula, build_powered
-from .errors import ConfigError, SarmanovError
-from .kernels import Kernel, catalog_lookup
+from .errors import ConfigError, DimensionTooLarge, SarmanovError
+from .kernels import catalog_lookup
 
 SCHEMA = "sarmanov-config/1"
 
@@ -82,19 +83,107 @@ def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
-def _interp_cdf(u_grid: np.ndarray, values: np.ndarray):
-    return lambda u, xg=u_grid, yg=values: np.interp(np.asarray(u, dtype=float), xg, yg)
+def _interp_cdf(u_grid: list, values: list):
+    xg, yg = np.asarray(u_grid, dtype=float), np.asarray(values, dtype=float)
+    return lambda u: np.interp(np.asarray(u, dtype=float), xg, yg)
+
+
+def _margin(i: int, m) -> tuple:
+    """Margin ``i`` as build needs it: (catalog id, params) for a kernel
+    margin, (F0, F1, pi) for an explicit pair."""
+    if not isinstance(m, dict) or len(m) != 1 or next(iter(m)) not in ("kernel", "pair"):
+        raise ConfigError(f"margin {i + 1} must be {{'kernel': ...}} or {{'pair': ...}}")
+    (key, body), = m.items()
+    if not isinstance(body, dict):
+        raise ConfigError(f"margin {i + 1} body must be an object")
+    if key == "kernel":
+        _reject_unknown(body, {"id", "params"}, f"margin {i + 1} kernel")
+        if not isinstance(body.get("id"), str):
+            raise ConfigError(f"margin {i + 1} kernel needs a string 'id'")
+        params = body.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"margin {i + 1} kernel params must be an object")
+        for name, val in params.items():
+            _number(val, f"margin {i + 1} kernel parameter {name!r}")
+        return body["id"], params
+    _reject_unknown(body, {"pi", "u", "F0", "F1"}, f"margin {i + 1} pair")
+    for fld in ("pi", "u", "F0", "F1"):
+        if fld not in body:
+            raise ConfigError(f"margin {i + 1} pair needs '{fld}'")
+        check = _number if fld == "pi" else _numbers
+        check(body[fld], f"margin {i + 1} pair {fld}")
+    u = body["u"]
+    if not len(u) == len(body["F0"]) == len(body["F1"]) or len(u) < 2:
+        raise ConfigError(f"margin {i + 1} pair needs u, F0, F1 of one length >= 2")
+    if any(x >= y for x, y in zip(u, u[1:])):  # np.interp needs it
+        raise ConfigError(f"margin {i + 1} pair u must be strictly increasing")
+    return _interp_cdf(u, body["F0"]), _interp_cdf(u, body["F1"]), float(body["pi"])
+
+
+def _is_kernel(margin: tuple) -> bool:
+    return len(margin) == 2
+
+
+def _bernoulli(bern, d: int) -> Callable[[list[CalibratedPair]], bn.BernoulliSpec]:
+    """The law of a d >= 3 ``bernoulli`` section as a function of the
+    margins: every rule the section alone decides is checked here, and no
+    2^d table exists before the law is built."""
+    if not isinstance(bern, dict) or "variant" not in bern:
+        raise ConfigError("bernoulli section needs a 'variant'")
+    variant = bern["variant"]
+    if variant == "full_pmf":
+        _reject_unknown(bern, {"variant", "pmf"}, "bernoulli")
+        if not isinstance(bern.get("pmf"), dict):
+            raise ConfigError("full_pmf needs a {bitstring: probability} object")
+        if d > bn.MAX_FULL_PMF_D:
+            raise DimensionTooLarge(f"full pmf supports d <= {bn.MAX_FULL_PMF_D}, got {d}")
+        pmf = {}
+        for bits, p in bern["pmf"].items():
+            _number(p, f"pmf entry {bits!r}")
+            if len(bits) != d or set(bits) - {"0", "1"}:
+                raise ConfigError(f"bad state bitstring {bits!r}")
+            pmf[int(bits[::-1], 2)] = float(p)  # margin 1 is the leftmost bit
+
+        def full_pmf(pairs):
+            table = np.zeros(1 << d)
+            table[list(pmf)] = list(pmf.values())
+            return bn.FullPmfSpec(table)
+
+        return full_pmf
+    if variant == "exchangeable_sum":
+        _reject_unknown(bern, {"variant", "w"}, "bernoulli")
+        w = _numbers(bern.get("w"), "exchangeable_sum w")
+        if len(w) != d + 1:
+            raise ConfigError(f"exchangeable_sum needs w of length d+1 = {d + 1}")
+        return lambda pairs: bn.ExchangeableSumSpec(w)
+    if variant != "named":
+        raise ConfigError(f"unknown bernoulli variant {variant!r}")
+    _reject_unknown(bern, {"variant", "name"}, "bernoulli")
+    name = bern.get("name")
+    if name not in ("independent", "comonotone", "end", "epd"):
+        raise ConfigError("named variant must be independent/comonotone/end/epd")
+    if name == "end" and d != 3:
+        raise ConfigError("the end coupling is provided for d = 3 only")
+    # end and epd have margins 1/2, which the copula checks against the kernels' pi
+    named = {"independent": bn.independent, "comonotone": bn.comonotone,
+             "end": lambda pis: bn.end3(), "epd": lambda pis: bn.epd(d)}[name]
+    return lambda pairs: named([p.pi for p in pairs])
 
 
 @dataclass
 class CopulaConfig:
-    """Parsed and validated configuration; ``build`` assembles the model."""
+    """Parsed and validated configuration; ``build`` assembles the model.
+
+    ``margins`` holds each margin as ``_margin`` returns it; ``law`` maps the
+    calibrated margins to the latent Bernoulli law (at d = 2, the law of
+    ``a`` or ``theta``); ``r`` is the power of a powered config, whose ``a``
+    is kept too.
+    """
 
     d: int
-    margin_specs: list[dict]
-    bernoulli: dict | None
+    margins: list[tuple]
+    law: Callable[[list[CalibratedPair]], bn.BernoulliSpec]
     a: float | None
-    theta: float | None
     r: int | None
     n: int
     seed: int
@@ -111,34 +200,8 @@ class CopulaConfig:
         margins = obj.get("margins")
         if not isinstance(margins, list) or len(margins) != d:
             raise ConfigError(f"margins must be a list of exactly {d} entries")
-        for i, m in enumerate(margins):
-            if not isinstance(m, dict) or len(m) != 1 or next(iter(m)) not in ("kernel", "pair"):
-                raise ConfigError(f"margin {i + 1} must be {{'kernel': ...}} or {{'pair': ...}}")
-            key = next(iter(m))
-            body = m[key]
-            if not isinstance(body, dict):
-                raise ConfigError(f"margin {i + 1} body must be an object")
-            if key == "kernel":
-                _reject_unknown(body, {"id", "params"}, f"margin {i + 1} kernel")
-                if not isinstance(body.get("id"), str):
-                    raise ConfigError(f"margin {i + 1} kernel needs a string 'id'")
-                params = body.get("params", {})
-                if not isinstance(params, dict):
-                    raise ConfigError(f"margin {i + 1} kernel params must be an object")
-                for key, val in params.items():
-                    _number(val, f"margin {i + 1} kernel parameter {key!r}")
-            else:
-                _reject_unknown(body, {"pi", "u", "F0", "F1"}, f"margin {i + 1} pair")
-                for fld in ("pi", "u", "F0", "F1"):
-                    if fld not in body:
-                        raise ConfigError(f"margin {i + 1} pair needs '{fld}'")
-                    check = _number if fld == "pi" else _numbers
-                    check(body[fld], f"margin {i + 1} pair {fld}")
-                u = body["u"]
-                if not len(u) == len(body["F0"]) == len(body["F1"]) or len(u) < 2:
-                    raise ConfigError(f"margin {i + 1} pair needs u, F0, F1 of one length >= 2")
-                if any(x >= y for x, y in zip(u, u[1:])):  # np.interp needs it
-                    raise ConfigError(f"margin {i + 1} pair u must be strictly increasing")
+        margins = [_margin(i, m) for i, m in enumerate(margins)]
+        kernels_only = all(_is_kernel(m) for m in margins)
 
         a, theta, r = obj.get("a"), obj.get("theta"), obj.get("r")
         for name, val in (("a", a), ("theta", theta)):
@@ -150,6 +213,13 @@ class CopulaConfig:
                 raise ConfigError("d = 2 requires exactly one of 'a' or 'theta'")
             if bern is not None:
                 raise ConfigError("d = 2 dependence is given by a/theta, not a bernoulli section")
+            if a is not None and not kernels_only:
+                raise ConfigError("'a' needs kernel margins; give 'theta' for explicit pairs")
+
+            def law(pairs, a=a, theta=theta):
+                if a is not None:
+                    theta = a / (pairs[0].base_kernel.Lambda * pairs[1].base_kernel.Lambda)
+                return bn.BivariateThetaSpec(pairs[0].pi, pairs[1].pi, float(theta))
         else:
             if a is not None or theta is not None:
                 raise ConfigError("a/theta are bivariate parameters; use a bernoulli section")
@@ -157,40 +227,17 @@ class CopulaConfig:
                 raise ConfigError("d >= 3 requires a bernoulli section")
             if r is not None:
                 raise ConfigError("powers apply to bivariate copulas only")
+            law = _bernoulli(bern, d)
         if r is not None:
             _integer(r, "r", low=1)
             if a is None:
                 raise ConfigError("powered configurations take 'a' (the multiplicative scalar)")
-        if bern is not None:
-            if not isinstance(bern, dict) or "variant" not in bern:
-                raise ConfigError("bernoulli section needs a 'variant'")
-            variant = bern["variant"]
-            if variant == "full_pmf":
-                _reject_unknown(bern, {"variant", "pmf"}, "bernoulli")
-                if not isinstance(bern.get("pmf"), dict):
-                    raise ConfigError("full_pmf needs a {bitstring: probability} object")
-                for bits, p in bern["pmf"].items():
-                    _number(p, f"pmf entry {bits!r}")
-            elif variant == "exchangeable_sum":
-                _reject_unknown(bern, {"variant", "w"}, "bernoulli")
-                w = _numbers(bern.get("w"), "exchangeable_sum w")
-                if len(w) != d + 1:
-                    raise ConfigError(f"exchangeable_sum needs w of length d+1 = {d + 1}")
-            elif variant == "named":
-                _reject_unknown(bern, {"variant", "name"}, "bernoulli")
-                if bern.get("name") not in ("independent", "comonotone", "end", "epd"):
-                    raise ConfigError("named variant must be independent/comonotone/end/epd")
-            else:
-                raise ConfigError(f"unknown bernoulli variant {variant!r}")
-
+            if not kernels_only:
+                raise ConfigError("powered configurations need kernel margins")
         n = _integer(obj.get("n", 1000), "n", low=1)
         seed = _integer(obj.get("seed", 0), "seed", low=0)
-        return cls(
-            d=d, margin_specs=margins, bernoulli=bern,
-            a=None if a is None else float(a),
-            theta=None if theta is None else float(theta),
-            r=r, n=n, seed=seed, raw=obj,
-        )
+        return cls(d=d, margins=margins, law=law, a=None if a is None else float(a),
+                   r=r, n=n, seed=seed, raw=obj)
 
     @classmethod
     def from_json(cls, text: str) -> "CopulaConfig":
@@ -202,79 +249,26 @@ class CopulaConfig:
 
     # -- assembly ------------------------------------------------------------
 
-    def margin_kernels(self) -> list[Kernel | None]:
-        out = []
-        for m in self.margin_specs:
-            if "kernel" in m:
-                body = m["kernel"]
-                out.append(catalog_lookup(body["id"], body.get("params", {})))
-            else:
-                out.append(None)
-        return out
-
     def margin_pairs(self) -> list[CalibratedPair]:
-        pairs = []
-        for m, k in zip(self.margin_specs, self.margin_kernels()):
-            if k is not None:
-                pairs.append(calibrate_from_kernel(k))
-            else:
-                body = m["pair"]
-                u = np.asarray(body["u"], dtype=float)
-                pairs.append(explicit_pair(
-                    _interp_cdf(u, np.asarray(body["F0"], dtype=float)),
-                    _interp_cdf(u, np.asarray(body["F1"], dtype=float)),
-                    float(body["pi"]),
-                ))
-        return pairs
+        return [calibrate_from_kernel(catalog_lookup(*m)) if _is_kernel(m) else explicit_pair(*m)
+                for m in self.margins]
 
-    def build_bernoulli(self, pairs: list[CalibratedPair]) -> bn.BernoulliSpec:
-        pis = np.array([p.pi for p in pairs])
-        bern = self.bernoulli
-        if self.d == 2:
-            theta = self.theta
-            if theta is None:
-                ks = [p.base_kernel for p in pairs]
-                if any(k is None for k in ks):
-                    raise ConfigError("'a' needs kernel margins; give 'theta' for explicit pairs")
-                theta = self.a / (ks[0].Lambda * ks[1].Lambda)
-            return bn.BivariateThetaSpec(pis[0], pis[1], theta)
-        variant = bern["variant"]
-        if variant == "full_pmf":
-            pmf = np.zeros(1 << self.d)
-            for bits, p in bern["pmf"].items():
-                if len(bits) != self.d or set(bits) - {"0", "1"}:
-                    raise ConfigError(f"bad state bitstring {bits!r}")
-                state = sum(1 << m for m, ch in enumerate(bits) if ch == "1")
-                pmf[state] = float(p)
-            return bn.FullPmfSpec(pmf)
-        if variant == "exchangeable_sum":
-            return bn.ExchangeableSumSpec(np.asarray(bern["w"], dtype=float))
-        name = bern["name"]
-        if name == "independent":
-            return bn.independent(pis)
-        if name == "comonotone":
-            return bn.comonotone(pis)
-        if np.max(np.abs(pis - 0.5)) > 1e-9:
-            raise ConfigError(f"{name} coupling requires all margin pis equal to 1/2, got {pis}")
-        if name == "end":
-            if self.d != 3:
-                raise ConfigError("the end coupling is provided for d = 3 only")
-            return bn.end3()
-        return bn.epd(self.d)
-
-    def build(self) -> SarmanovCopula | PoweredCopula:
-        if self.r is not None:
-            ks = self.margin_kernels()
-            if any(k is None for k in ks):
-                raise ConfigError("powered configurations need kernel margins")
-            return build_powered(ks[0], ks[1], self.a, self.r)
+    def copula(self) -> SarmanovCopula:
+        """The unpowered copula of the margins and the law: for a powered
+        config, the one its base kernels give at r = 1."""
         pairs = self.margin_pairs()
         try:
-            return SarmanovCopula(tuple(pairs), self.build_bernoulli(pairs))
+            return SarmanovCopula(tuple(pairs), self.law(pairs))
         except SarmanovError:
             raise
         except ValueError as e:  # a law that does not sum to 1 or disagrees with its margins
             raise ConfigError(str(e)) from e
+
+    def build(self) -> SarmanovCopula | PoweredCopula:
+        if self.r is not None:
+            k1, k2 = (catalog_lookup(*m) for m in self.margins)
+            return build_powered(k1, k2, self.a, self.r)
+        return self.copula()
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

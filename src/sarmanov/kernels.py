@@ -12,16 +12,19 @@ probability pi = Lambda / (Lambda - lam) of the mixture construction, the
 admissible dependence range, and (through the signed area
 kappa = integral_0^1 g) the attainable rank correlations.
 
-The catalog ships twenty classical and constructed kernels. Rational
-constants are also carried exactly (`fractions.Fraction`) so closed-form
-rank correlations such as 1/3 or 3/4 round once, not per factor.
+The catalog ships twenty classical and constructed kernels. Each row
+writes each constant once: given as a `fractions.Fraction` or an int it is
+rational, kept exactly and rounded once to its float, so closed-form rank
+correlations such as 1/3 or 3/4 round once, not per factor.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +36,11 @@ from .errors import (
     UnboundedDerivative,
     UnknownKernel,
 )
-from .numerics import quad01, scan_extrema, sign_changes, tabulated_slope
+from .numerics import SLOPE_GRID, quad01, scan_extrema, sign_changes, tabulated_slope
 
 ANCHOR_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
+EXACT_MAX = 1 << 10  # integers beyond it (powers, beta arguments) are taken in floats
 
 _E = math.e
 _PI = math.pi
@@ -48,9 +52,11 @@ class Kernel:
 
     ``Lambda`` and ``lam`` are the reciprocals of the essential sup/inf of
     phi; ``kappa`` is the integral of g over [0, 1]. ``sign_constant`` is
-    True iff g does not change sign on (0, 1). Exact rational values of the
-    three constants are kept alongside the floats when they exist.
-    Instances are immutable and all evaluations are pure.
+    True iff g does not change sign on (0, 1). A constant given as a
+    ``Fraction`` or an int is rational: it is kept in ``*_exact`` and the
+    field holds its float, rounded once. A constant given as a float is
+    inexact and its ``*_exact`` is None. Instances are immutable and all
+    evaluations are pure.
     """
 
     id: str
@@ -63,9 +69,22 @@ class Kernel:
     sign_constant: bool
     breakpoints: tuple[float, ...] = ()
     degenerate: bool = False
-    Lambda_exact: Fraction | None = None
-    lam_exact: Fraction | None = None
-    kappa_exact: Fraction | None = None
+    Lambda_exact: Fraction | None = field(default=None, init=False)
+    lam_exact: Fraction | None = field(default=None, init=False)
+    kappa_exact: Fraction | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        for name in ("Lambda", "lam", "kappa"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Rational):
+                object.__setattr__(self, f"{name}_exact", Fraction(value))
+            object.__setattr__(self, name, float(value))
+
+    def constant(self, name: str):
+        """Constant ``name`` (``"Lambda"``, ``"lam"`` or ``"kappa"``): its
+        exact value when it is rational, its float otherwise."""
+        exact = getattr(self, f"{name}_exact")
+        return getattr(self, name) if exact is None else exact
 
     def slope_sup(self) -> float:
         """Sup-norm of phi: max(1/Lambda, -1/lam)."""
@@ -76,15 +95,6 @@ class Kernel:
     def describe(self) -> str:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.id}({ps})" if ps else self.id
-
-
-def _frac(x) -> Fraction:
-    # every binary float is an exact rational, so this loses nothing
-    return Fraction(x)
-
-
-def _is_integral(x) -> bool:
-    return float(x).is_integer()
 
 
 def sin_asym_slope_root() -> float:
@@ -98,8 +108,10 @@ def sin_asym_slope_root() -> float:
 # ---------------------------------------------------------------------------
 # catalog rows
 # ---------------------------------------------------------------------------
-# Each builder returns the Kernel for validated params. Derivatives are
-# analytic. kappa/Lambda/lam carry exact Fractions whenever rational.
+# Each row returns the Kernel for validated params. Derivatives are
+# analytic. Constants are written once over Fraction parameters (every binary
+# float is an exact rational): a rational result stays a Fraction, and an
+# irrational step (a fractional power, a beta function) turns it into a float.
 
 
 def _require(cond: bool, msg: str):
@@ -107,163 +119,145 @@ def _require(cond: bool, msg: str):
         raise ParamOutOfRange(msg)
 
 
-def _row_fgm(p) -> Kernel:
+def _pow(base: Fraction, e: Fraction):
+    """base ** e: exact for an integral exponent up to EXACT_MAX, whose exact
+    value has a bounded number of digits, in floats otherwise."""
+    if e.denominator == 1 and abs(e) <= EXACT_MAX:
+        return base ** e
+    return float(base) ** float(e)
+
+
+def _beta(x: Fraction, y: Fraction):
+    """B(x, y) = (x-1)! (y-1)! / (x+y-1)!, exact for integers x, y in
+    [1, EXACT_MAX]; scipy's float otherwise."""
+    if all(v.denominator == 1 and 1 <= v <= EXACT_MAX for v in (x, y)):
+        m, n = int(x), int(y)
+        return Fraction(math.factorial(m - 1) * math.factorial(n - 1), math.factorial(m + n - 1))
+    from scipy.special import beta
+
+    return beta(float(x), float(y))
+
+
+def _row_fgm() -> Kernel:
     return Kernel(
         "fgm", {},
         g=lambda u: u * (1.0 - u),
         phi=lambda u: 1.0 - 2.0 * u,
-        Lambda=1.0, lam=-1.0, kappa=1.0 / 6.0, sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-1), kappa_exact=Fraction(1, 6),
+        Lambda=1, lam=-1, kappa=Fraction(1, 6), sign_constant=True,
     )
 
 
 def _row_hki(p) -> Kernel:
-    pe = p["p"]
-    _require(pe > 0, "hki requires p > 0")
-    fp = _frac(pe)
+    _require(p > 0, "hki requires p > 0")
+    fp = Fraction(p)
     return Kernel(
-        "hki", {"p": pe},
-        g=lambda u, pe=pe: u * (1.0 - u ** pe),
-        phi=lambda u, pe=pe: 1.0 - (pe + 1.0) * u ** pe,
-        Lambda=1.0, lam=-1.0 / pe, kappa=pe / (2.0 * (pe + 2.0)), sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=-1 / fp, kappa_exact=fp / (2 * (fp + 2)),
+        "hki", {"p": p},
+        g=lambda u, p=p: u * (1.0 - u ** p),
+        phi=lambda u, p=p: 1.0 - (p + 1.0) * u ** p,
+        Lambda=1, lam=-1 / fp, kappa=fp / (2 * (fp + 2)), sign_constant=True,
     )
 
 
-def _row_hkii(p) -> Kernel:
-    q = p["q"]
+def _row_hkii(q) -> Kernel:
     _require(q > 1, "hkii requires q > 1 (phi unbounded otherwise)")
-    fq = _frac(q)
-    lam = -(((q + 1.0) / (q - 1.0)) ** (q - 1.0))
-    lam_exact = -((fq + 1) / (fq - 1)) ** int(q - 1) if _is_integral(q) else None
+    fq = Fraction(q)
     return Kernel(
         "hkii", {"q": q},
         g=lambda u, q=q: u * (1.0 - u) ** q,
         phi=lambda u, q=q: (1.0 - u) ** (q - 1.0) * (1.0 - (q + 1.0) * u),
-        Lambda=1.0, lam=lam, kappa=1.0 / ((q + 1.0) * (q + 2.0)), sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=lam_exact,
-        kappa_exact=1 / ((fq + 1) * (fq + 2)),
+        Lambda=1, lam=-_pow((fq + 1) / (fq - 1), fq - 1), kappa=1 / ((fq + 1) * (fq + 2)),
+        sign_constant=True,
     )
 
 
-def _row_bkb(prm) -> Kernel:
-    from scipy.special import beta
-
-    p, q = prm["p"], prm["q"]
+def _row_bkb(p, q) -> Kernel:
     _require(p > 0, "bkb requires p > 0")
     _require(q > 1, "bkb requires q > 1 (phi unbounded otherwise)")
-    lam = -((1.0 + p * q) ** (q - 1.0)) / (p ** q * (q - 1.0) ** (q - 1.0))
-    lam_exact = None
-    if _is_integral(q):
-        fp, n = _frac(p), int(q)
-        lam_exact = -((1 + fp * n) ** (n - 1)) / (fp ** n * Fraction(n - 1) ** (n - 1))
-    kappa = beta(2.0 / p, q + 1.0) / p
-    kappa_exact = None
-    if _is_integral(q) and p > 0 and _is_integral(2.0 / p):
-        # B(n, q+1) = (n-1)! q! / (n+q)! for integer arguments
-        n, iq = int(2.0 / p), int(q)
-        kappa_exact = Fraction(math.factorial(n - 1) * math.factorial(iq),
-                               math.factorial(n + iq)) / _frac(p)
+    fp, fq = Fraction(p), Fraction(q)
     return Kernel(
         "bkb", {"p": p, "q": q},
         g=lambda u, p=p, q=q: u * (1.0 - u ** p) ** q,
         phi=lambda u, p=p, q=q: (1.0 - u ** p) ** (q - 1.0) * (1.0 - (1.0 + p * q) * u ** p),
-        Lambda=1.0, lam=lam, kappa=kappa, sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=lam_exact, kappa_exact=kappa_exact,
+        Lambda=1, lam=-_pow(1 + fp * fq, fq - 1) / (_pow(fp, fq) * _pow(fq - 1, fq - 1)),
+        kappa=_beta(2 / fp, fq + 1) / fp, sign_constant=True,
     )
 
 
-def _row_sin(p) -> Kernel:
+def _row_sin() -> Kernel:
     return Kernel(
         "sin", {},
         g=lambda u: np.sin(_PI * u) / _PI,
         phi=lambda u: np.cos(_PI * u),
-        Lambda=1.0, lam=-1.0, kappa=2.0 / _PI ** 2, sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-1),
+        Lambda=1, lam=-1, kappa=2.0 / _PI ** 2, sign_constant=True,
     )
 
 
-def _row_sin_squared(p) -> Kernel:
+def _row_sin_squared() -> Kernel:
     return Kernel(
         "sin_squared", {},
         g=lambda u: np.sin(_PI * u) ** 2 / _PI,
         phi=lambda u: np.sin(2.0 * _PI * u),
-        Lambda=1.0, lam=-1.0, kappa=1.0 / (2.0 * _PI), sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-1),
+        Lambda=1, lam=-1, kappa=1.0 / (2.0 * _PI), sign_constant=True,
     )
 
 
-def _row_checkerboard(p) -> Kernel:
+def _row_checkerboard() -> Kernel:
     return Kernel(
         "checkerboard", {},
         g=lambda u: np.minimum(u, 1.0 - u),
         phi=lambda u: np.where(np.asarray(u) <= 0.5, 1.0, -1.0),
-        Lambda=1.0, lam=-1.0, kappa=0.25, sign_constant=True,
+        Lambda=1, lam=-1, kappa=Fraction(1, 4), sign_constant=True,
         breakpoints=(0.5,),
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-1), kappa_exact=Fraction(1, 4),
     )
 
 
-def _row_lai_xie(prm) -> Kernel:
-    from scipy.special import beta
-
-    a, b = prm["a"], prm["b"]
+def _row_lai_xie(a, b) -> Kernel:
     _require(a > 1 and b > 1, "lai_xie requires a > 1 and b > 1")
     s = math.sqrt(a * b / (a + b - 1.0))
     common = (a + b) ** (a + b - 2.0) * math.sqrt(a + b - 1.0) / math.sqrt(a * b)
-    Lambda = common / ((b - s) ** (b - 1.0) * (a + s) ** (a - 1.0))
-    lam = -common / ((b + s) ** (b - 1.0) * (a - s) ** (a - 1.0))
-    kappa = beta(b + 1.0, a + 1.0)
-    kappa_exact = None
-    if _is_integral(a) and _is_integral(b):
-        ia, ib = int(a), int(b)
-        kappa_exact = Fraction(math.factorial(ib) * math.factorial(ia),
-                               math.factorial(ia + ib + 1))
     return Kernel(
         "lai_xie", {"a": a, "b": b},
         g=lambda u, a=a, b=b: u ** b * (1.0 - u) ** a,
         phi=lambda u, a=a, b=b: u ** (b - 1.0) * (1.0 - u) ** (a - 1.0) * (b - (a + b) * u),
-        Lambda=Lambda, lam=lam, kappa=kappa, sign_constant=True,
-        kappa_exact=kappa_exact,
+        Lambda=common / ((b - s) ** (b - 1.0) * (a + s) ** (a - 1.0)),
+        lam=-common / ((b + s) ** (b - 1.0) * (a - s) ** (a - 1.0)),
+        kappa=_beta(Fraction(b) + 1, Fraction(a) + 1), sign_constant=True,
     )
 
 
-def _row_lee_quadratic(p) -> Kernel:
+def _row_lee_quadratic() -> Kernel:
     return Kernel(
         "lee_quadratic", {},
         g=lambda u: u * (u - 1.0) / 2.0,
         phi=lambda u: u - 0.5,
-        Lambda=2.0, lam=-2.0, kappa=-1.0 / 12.0, sign_constant=True,
-        Lambda_exact=Fraction(2), lam_exact=Fraction(-2), kappa_exact=Fraction(-1, 12),
+        Lambda=2, lam=-2, kappa=Fraction(-1, 12), sign_constant=True,
     )
 
 
-def _row_lee_power(prm) -> Kernel:
-    k = prm["k"]
-    _require(_is_integral(k) and k >= 1, "lee_power requires integer k >= 1")
+def _row_lee_power(k) -> Kernel:
+    _require(float(k).is_integer() and k >= 1, "lee_power requires integer k >= 1")
     k = int(k)
     return Kernel(
         "lee_power", {"k": k},
         g=lambda u, k=k: (u ** (k + 1) - u) / (k + 1.0),
         phi=lambda u, k=k: ((k + 1.0) * u ** k - 1.0) / (k + 1.0),
-        Lambda=(k + 1.0) / k, lam=-(k + 1.0),
-        kappa=-k / (2.0 * (k + 1.0) * (k + 2.0)), sign_constant=True,
-        Lambda_exact=Fraction(k + 1, k), lam_exact=Fraction(-(k + 1)),
-        kappa_exact=Fraction(-k, 2 * (k + 1) * (k + 2)),
+        Lambda=Fraction(k + 1, k), lam=-(k + 1), kappa=Fraction(-k, 2 * (k + 1) * (k + 2)),
+        sign_constant=True,
     )
 
 
-def _row_lee_exponential(p) -> Kernel:
+def _row_lee_exponential() -> Kernel:
     slope = 1.0 - 1.0 / _E
+    # expm1 keeps g's digits near 0, where the powered transform evaluates g(y)/y
     return Kernel(
         "lee_exponential", {},
-        g=lambda u: (1.0 - np.exp(-np.asarray(u, dtype=float))) - slope * np.asarray(u, dtype=float),
+        g=lambda u: -np.expm1(-np.asarray(u, dtype=float)) - slope * np.asarray(u, dtype=float),
         phi=lambda u: np.exp(-np.asarray(u, dtype=float)) - slope,
         Lambda=_E, lam=-_E / (_E - 2.0), kappa=(3.0 - _E) / (2.0 * _E), sign_constant=True,
     )
 
 
-def _row_norm_lee(p) -> Kernel:
+def _row_norm_lee() -> Kernel:
     from scipy.special import ndtr, ndtri
 
     c = math.exp(2.0 / 3.0) / math.sqrt(3.0)
@@ -288,116 +282,88 @@ def _row_norm_lee(p) -> Kernel:
     )
 
 
-def _row_exp_bridge(p) -> Kernel:
+def _row_exp_bridge() -> Kernel:
     den = _E ** 2 - 1.0
     return Kernel(
         "exp_bridge", {},
         g=lambda u: u * (np.exp(2.0 * (1.0 - np.asarray(u, dtype=float))) - 1.0) / den,
         phi=lambda u: ((1.0 - 2.0 * np.asarray(u, dtype=float))
                        * np.exp(2.0 * (1.0 - np.asarray(u, dtype=float))) - 1.0) / den,
-        Lambda=1.0, lam=-den / 2.0, kappa=(_E ** 2 - 5.0) / (4.0 * den), sign_constant=True,
-        Lambda_exact=Fraction(1),
+        Lambda=1, lam=-den / 2.0, kappa=(_E ** 2 - 5.0) / (4.0 * den), sign_constant=True,
     )
 
 
-def _row_fgm_damped(p) -> Kernel:
+def _row_fgm_damped() -> Kernel:
     return Kernel(
         "fgm_damped", {},
         g=lambda u: u * (1.0 - u) / (1.0 + u),
         phi=lambda u: (1.0 - 2.0 * u - u ** 2) / (1.0 + u) ** 2,
-        Lambda=1.0, lam=-2.0, kappa=1.5 - math.log(4.0), sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-2),
+        Lambda=1, lam=-2, kappa=1.5 - math.log(4.0), sign_constant=True,
     )
 
 
-def _row_legendre2(p) -> Kernel:
+def _row_legendre2() -> Kernel:
     return Kernel(
         "legendre2", {},
         g=lambda u: u * (1.0 - u) * (1.0 - 2.0 * u),
         phi=lambda u: 1.0 - 6.0 * u + 6.0 * u ** 2,
-        Lambda=1.0, lam=-2.0, kappa=0.0, sign_constant=False,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-2), kappa_exact=Fraction(0),
+        Lambda=1, lam=-2, kappa=0, sign_constant=False,
     )
 
 
-def _row_sin_asym(p) -> Kernel:
+def _row_sin_asym() -> Kernel:
     y = sin_asym_slope_root()
-    lam = -_PI * math.sqrt(y * y + 4.0) / (y * y + 2.0)
     return Kernel(
         "sin_asym", {},
         g=lambda u: (1.0 - u) * np.sin(_PI * u) / _PI,
         phi=lambda u: -np.sin(_PI * u) / _PI + (1.0 - u) * np.cos(_PI * u),
-        Lambda=1.0, lam=lam, kappa=1.0 / _PI ** 2, sign_constant=True,
-        Lambda_exact=Fraction(1),
+        Lambda=1, lam=-_PI * math.sqrt(y * y + 4.0) / (y * y + 2.0), kappa=1.0 / _PI ** 2,
+        sign_constant=True,
     )
 
 
-def _row_fgm_damped_sq(p) -> Kernel:
+def _row_fgm_damped_sq() -> Kernel:
     return Kernel(
         "fgm_damped_sq", {},
         g=lambda u: u * (1.0 - u) / (1.0 + u ** 2),
         phi=lambda u: (1.0 - 2.0 * u - u ** 2) / (1.0 + u ** 2) ** 2,
-        Lambda=1.0, lam=-2.0, kappa=-1.0 + math.log(2.0) / 2.0 + _PI / 4.0, sign_constant=True,
-        Lambda_exact=Fraction(1), lam_exact=Fraction(-2),
+        Lambda=1, lam=-2, kappa=-1.0 + math.log(2.0) / 2.0 + _PI / 4.0, sign_constant=True,
     )
 
 
-def _row_hkii_damped(p) -> Kernel:
+def _row_hkii_damped() -> Kernel:
     return Kernel(
         "hkii_damped", {},
         g=lambda u: u * (1.0 - u) ** 2 / (1.0 + u),
         phi=lambda u: (1.0 - u) * (1.0 - 3.0 * u - 2.0 * u ** 2) / (1.0 + u) ** 2,
-        Lambda=1.0, lam=1.0 / (3.0 * 4.0 ** (1.0 / 3.0) - 5.0),
+        Lambda=1, lam=1.0 / (3.0 * 4.0 ** (1.0 / 3.0) - 5.0),
         kappa=17.0 / 6.0 - math.log(16.0), sign_constant=True,
-        Lambda_exact=Fraction(1),
     )
 
 
-def _row_fgm_exp(p) -> Kernel:
+def _row_fgm_exp() -> Kernel:
     return Kernel(
         "fgm_exp", {},
         g=lambda u: u * (1.0 - u) * np.exp(-np.asarray(u, dtype=float)),
         phi=lambda u: (1.0 - 3.0 * u + u ** 2) * np.exp(-np.asarray(u, dtype=float)),
-        Lambda=1.0, lam=-_E, kappa=-1.0 + 3.0 / _E, sign_constant=True,
-        Lambda_exact=Fraction(1),
+        Lambda=1, lam=-_E, kappa=-1.0 + 3.0 / _E, sign_constant=True,
     )
 
 
-def _row_two_slope(p) -> Kernel:
+def _row_two_slope() -> Kernel:
     return Kernel(
         "two_slope", {},
         g=lambda u: np.where(np.asarray(u) <= 0.25, 3.0 * np.asarray(u, dtype=float),
                              1.0 - np.asarray(u, dtype=float)),
         phi=lambda u: np.where(np.asarray(u) <= 0.25, 3.0, -1.0),
-        Lambda=1.0 / 3.0, lam=-1.0, kappa=3.0 / 8.0, sign_constant=True,
+        Lambda=Fraction(1, 3), lam=-1, kappa=Fraction(3, 8), sign_constant=True,
         breakpoints=(0.25,),
-        Lambda_exact=Fraction(1, 3), lam_exact=Fraction(-1), kappa_exact=Fraction(3, 8),
     )
 
 
-_CATALOG: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "fgm": (_row_fgm, ()),
-    "hki": (_row_hki, ("p",)),
-    "hkii": (_row_hkii, ("q",)),
-    "bkb": (_row_bkb, ("p", "q")),
-    "sin": (_row_sin, ()),
-    "sin_squared": (_row_sin_squared, ()),
-    "checkerboard": (_row_checkerboard, ()),
-    "lai_xie": (_row_lai_xie, ("a", "b")),
-    "lee_quadratic": (_row_lee_quadratic, ()),
-    "lee_power": (_row_lee_power, ("k",)),
-    "lee_exponential": (_row_lee_exponential, ()),
-    "norm_lee": (_row_norm_lee, ()),
-    "exp_bridge": (_row_exp_bridge, ()),
-    "fgm_damped": (_row_fgm_damped, ()),
-    "legendre2": (_row_legendre2, ()),
-    "sin_asym": (_row_sin_asym, ()),
-    "fgm_damped_sq": (_row_fgm_damped_sq, ()),
-    "hkii_damped": (_row_hkii_damped, ()),
-    "fgm_exp": (_row_fgm_exp, ()),
-    "two_slope": (_row_two_slope, ()),
-}
-
+# every _row_<id> above, in order, with the parameter names its signature lists
+_CATALOG = {name.removeprefix("_row_"): (row, tuple(inspect.signature(row).parameters))
+            for name, row in list(globals().items()) if name.startswith("_row_")}
 CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
 
 #: parameters used when a catalog listing needs one concrete kernel per id
@@ -411,17 +377,23 @@ def catalog_lookup(name: str, params: Mapping[str, float] | None = None) -> Kern
     """Build a catalog kernel with analytic g, phi, Lambda, lam and kappa.
 
     Raises UnknownKernel for an unlisted id and ParamOutOfRange when the
-    parameters fall outside the row's validity range (or are unexpected).
+    parameters fall outside the row's validity range (or are unexpected), or
+    when a constant they give lies beyond the float range.
     """
     if name not in _CATALOG:
         raise UnknownKernel(f"no catalog kernel named {name!r}; known: {sorted(_CATALOG)}")
-    builder, expected = _CATALOG[name]
+    row, expected = _CATALOG[name]
     params = dict(params or {})
     if set(params) != set(expected):
         raise ParamOutOfRange(
             f"kernel {name!r} takes parameters {list(expected)}, got {sorted(params)}"
         )
-    return builder(params)
+    try:
+        return row(**params)
+    except (OverflowError, ZeroDivisionError) as e:
+        raise ParamOutOfRange(
+            f"kernel {name!r} at {params} has constants beyond the float range ({e})"
+        ) from e
 
 
 def kernel_area(k: Kernel, numeric: bool = False) -> float:
@@ -435,16 +407,16 @@ def kernel_area(k: Kernel, numeric: bool = False) -> float:
     return k.kappa
 
 
-def numeric_slope_bounds(k: Kernel, n_grid: int = 200_001) -> tuple[float, float]:
-    """Re-derive (Lambda, lam) by dense-grid extremization of phi.
+def numeric_slope_bounds(k: Kernel) -> tuple[float, float]:
+    """Re-derive (Lambda, lam) by extremization of phi on SLOPE_GRID points.
 
     Independent of the stored analytic values; used to cross-check every
     catalog row.
     """
     if k.phi is not None:
-        sup, inf = scan_extrema(k.phi, n_grid)
+        sup, inf = scan_extrema(k.phi)
     else:
-        _, sup, inf = tabulated_slope(k.g(np.linspace(0.0, 1.0, n_grid)))
+        _, sup, inf = tabulated_slope(k.g(np.linspace(0.0, 1.0, SLOPE_GRID)))
     if sup <= 0 or inf >= 0:
         raise DegenerateKernel(f"kernel {k.id} has one-signed derivative")
     return 1.0 / sup, 1.0 / inf
@@ -453,13 +425,12 @@ def numeric_slope_bounds(k: Kernel, n_grid: int = 200_001) -> tuple[float, float
 def custom_kernel(
     g: Callable | Sequence[float] | np.ndarray,
     phi: Callable | None = None,
-    n_grid: int = 200_001,
 ) -> Kernel:
     """Kernel from a user-supplied map: a callable on [0, 1] or values
     tabulated on a uniform grid.
 
-    Slope bounds come from dense-grid extremization of ``phi`` (with
-    golden-section refinement) when it is given, otherwise from second-order
+    Slope bounds come from extremization of ``phi`` on SLOPE_GRID points
+    (with golden-section refinement) when it is given, otherwise from second-order
     differences of g tabulated on the grid; kappa from adaptive quadrature
     (trapezoid for tabulated input). The zero kernel is allowed and flagged
     degenerate.
@@ -487,17 +458,16 @@ def custom_kernel(
     if np.max(np.abs(probe)) < DEGENERATE_TOL:
         return Kernel(
             "custom", {}, g=g_fn, phi=(phi or (lambda u: np.zeros_like(np.asarray(u, dtype=float)))),
-            Lambda=math.inf, lam=-math.inf, kappa=0.0, sign_constant=True,
-            degenerate=True, kappa_exact=Fraction(0),
+            Lambda=math.inf, lam=-math.inf, kappa=0, sign_constant=True, degenerate=True,
         )
 
     if phi is not None:
-        sup, inf = scan_extrema(phi, n_grid)
+        sup, inf = scan_extrema(phi)
     elif tabulated is not None:
         phi, sup, inf = tabulated_slope(tabulated)
     else:
         _check_bounded_derivative(g_fn)
-        phi, sup, inf = tabulated_slope(g_fn(np.linspace(0.0, 1.0, n_grid)))
+        phi, sup, inf = tabulated_slope(g_fn(np.linspace(0.0, 1.0, SLOPE_GRID)))
 
     if sup <= 0 or inf >= 0:
         raise DegenerateKernel("derivative does not take both signs; g cannot anchor at 0 and 1")

@@ -56,12 +56,13 @@ def _kappas(c: SarmanovCopula, num) -> list | None:
     return None if any(k is None for k in kex) else kex
 
 
-def _spearman(c: SarmanovCopula, num):
+def _spearman(c: SarmanovCopula, num, theta=None):
     if c.d != 2:
         raise ValueError("bivariate measure")
     ks = _kappas(c, num)
+    theta = c.bern.mixed_moment((1, 2)) if theta is None else theta
     # + num(0) turns a float -0.0 (theta < 0 times a zero area) into 0.0
-    return None if ks is None else 12 * num(c.bern.mixed_moment((1, 2))) * ks[0] * ks[1] + num(0)
+    return None if ks is None else 12 * num(theta) * ks[0] * ks[1] + num(0)
 
 
 def _kendall(c: SarmanovCopula, num):
@@ -89,10 +90,11 @@ def spearman_analytic_exact(c: SarmanovCopula) -> Fraction | None:
     return _spearman(c, Fraction)
 
 
-def spearman_analytic(c: SarmanovCopula) -> float:
-    """rho_S = 12 * theta * kappahat_1 * kappahat_2 (d = 2)."""
-    exact = _spearman(c, Fraction)
-    return _spearman(c, float) if exact is None else float(exact)
+def spearman_analytic(c: SarmanovCopula, theta: float | None = None) -> float:
+    """rho_S = 12 * theta * kappahat_1 * kappahat_2 (d = 2), at the law's
+    theta or, for the ends of a range, at the one given."""
+    exact = _spearman(c, Fraction, theta)
+    return _spearman(c, float, theta) if exact is None else float(exact)
 
 
 def kendall_analytic_exact(c: SarmanovCopula) -> Fraction | None:

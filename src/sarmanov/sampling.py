@@ -21,10 +21,10 @@ from .calibration import MarginSampler
 from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
-#: bumped whenever sample bytes change on purpose; 3 = numeric quantiles
-#: guessed from a cached inverse table and checked with two F evaluations
-#: (2 was a tabulated bracket plus Illinois regula falsi, 1 60-step bisection)
-SAMPLER_VERSION = 3
+#: bumped whenever sample bytes change on purpose (the README lists each
+#: version); 4 = rational kernel constants rounded once, lee_exponential's g
+#: in expm1 form
+SAMPLER_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,7 @@ class TestSample:
         out = tmp_path / "rows.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
-        assert meta["sampler"] == 3
+        assert meta["sampler"] == 4
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 
@@ -646,6 +646,44 @@ class TestConfigRules:
                                                  "w": (w / w.sum()).tolist()}}))
         assert main([command, "--config", str(cfg)]) == 2
         assert "2^-52" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "bounds", "sample", "measure"])
+    @pytest.mark.parametrize("kernel", [
+        {"id": "lai_xie", "params": {"a": 300, "b": 300}},
+        {"id": "bkb", "params": {"p": 0.5, "q": 400.5}},
+        {"id": "bkb", "params": {"p": 1e-300, "q": 2}},
+    ], ids=["lai_xie", "bkb_q400.5", "bkb_p1e-300"])
+    def test_constants_beyond_float_range_are_usage_errors(self, tmp_path, capsys, command, kernel):
+        cfg = write_config(tmp_path / "k.json", a=0.1,
+                           margins=[{"kernel": kernel}, {"kernel": {"id": "fgm"}}])
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "beyond the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    def test_kernel_margin_outside_the_floor_is_usage_error(self, tmp_path, capsys, command):
+        # hki at p = 1e300 has lam = -1e-300, so pi = 1 / (1 + 1e-300) rounds to 1
+        cfg = write_config(tmp_path / "k.json", a=0.1, margins=[
+            {"kernel": {"id": "hki", "params": {"p": 1e300}}}, {"kernel": {"id": "fgm"}}])
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "2^-52" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [21, 40])
+    def test_full_pmf_cap_is_checked_before_any_table(self, tmp_path, capsys, d):
+        import tracemalloc
+
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"schema": "sarmanov-config/1", "d": d,
+                                   "margins": [{"kernel": {"id": "fgm"}}] * d,
+                                   "bernoulli": {"variant": "full_pmf", "pmf": {"0" * d: 1.0}}}))
+        tracemalloc.start()
+        try:
+            code = main(["validate", "--config", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "d <= 20" in capsys.readouterr().err
+        assert peak < 1 << 20  # a 2^d table takes 2^(d + 3) bytes
 
     @pytest.mark.parametrize("command", ["sample", "measure"])
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n", "-3"], ["--n", "0"]],

@@ -496,6 +496,19 @@ class TestTransformedKernels:
         num = np.gradient(np.asarray(t.g(x), float), x)
         np.testing.assert_allclose(np.asarray(t.phi(x), float)[2:-2], num[2:-2], atol=5e-3)
 
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_lee_exponential_transform_keeps_its_slope_bounds(self, r):
+        # h(y) = g(y)/y is evaluated at y = x^r, far below 1e-16 near x = 0,
+        # where 1 - exp(-y) has lost every digit and expm1 keeps them all
+        y = np.linspace(0.0, 1.0, 2_000_001) ** r
+        slope = 1.0 - 1.0 / math.e
+        with np.errstate(invalid="ignore"):
+            h = np.where(y > 0.0, -np.expm1(-y) / y, 1.0) - slope
+        phi_t = (1 - r) * h + r * (np.exp(-y) - slope)
+        t = transform_kernel(kernel("lee_exponential"), r)
+        assert t.Lambda == pytest.approx(1.0 / phi_t.max(), rel=1e-9)
+        assert t.lam == pytest.approx(1.0 / phi_t.min(), rel=1e-9)
+
 
 class TestPowered:
     def test_r1_is_plain_family(self):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sarmanov.calibration import calibrate_from_kernel
 from sarmanov.errors import (
     DegenerateKernel,
     NotAnchored,
@@ -75,6 +76,59 @@ class TestCatalogFidelity:
         for name in CATALOG_IDS:
             k = default_kernel(name)
             assert k.sign_constant == (name not in changing)
+
+
+def _param(lo, hi):
+    """Integral and non-integral parameter values in (lo, hi]."""
+    return st.one_of(st.integers(int(lo) + 1, int(hi)), st.floats(lo, hi, exclude_min=True))
+
+
+RATIONAL_ROWS = st.one_of(
+    st.tuples(st.just("hki"), st.fixed_dictionaries({"p": _param(0, 50)})),
+    st.tuples(st.just("hkii"), st.fixed_dictionaries({"q": _param(1, 60)})),
+    st.tuples(st.just("bkb"), st.fixed_dictionaries({
+        "p": st.one_of(_param(0, 8), st.sampled_from([0.25, 0.5])), "q": _param(1, 60)})),
+    st.tuples(st.just("lai_xie"), st.fixed_dictionaries({"a": _param(1, 30), "b": _param(1, 30)})),
+    st.tuples(st.just("lee_power"), st.fixed_dictionaries({"k": st.integers(1, 50)})),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(("hkii", {"q": 4}))
+@example(("lee_power", {"k": 3}))
+@given(RATIONAL_ROWS)
+def test_float_constants_are_exact_values_rounded_once(row):
+    # each constant is written once; where it is rational its float is the
+    # exact value rounded once, in the row and in the calibrated pair's kernel
+    name, params = row
+    try:
+        k = catalog_lookup(name, params)
+    except ParamOutOfRange:  # constants beyond the float range
+        return
+    for kern in (k, calibrate_from_kernel(k).induced):
+        for c in ("Lambda", "lam", "kappa"):
+            exact = getattr(kern, f"{c}_exact")
+            if exact is not None:
+                assert getattr(kern, c) == float(exact), (kern.id, c)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("name, params", [
+        ("lai_xie", {"a": 300, "b": 300}),
+        ("bkb", {"p": 0.5, "q": 400.5}),
+        ("bkb", {"p": 1e-300, "q": 2}),
+        ("bkb", {"p": 1e-300, "q": 2.5}),
+    ], ids=["lai_xie_overflow", "bkb_overflow", "bkb_exact_overflow", "bkb_zero_division"])
+    def test_constants_beyond_float_range_are_out_of_range(self, name, params):
+        with pytest.raises(ParamOutOfRange, match="beyond the float range"):
+            catalog_lookup(name, params)
+
+    @pytest.mark.parametrize("p, q", [(0.5, 400), (2, 1000)])
+    def test_integral_q_takes_the_exact_route(self, p, q):
+        # (1 + pq)^(q-1) is beyond the float range; lam itself is not
+        k = catalog_lookup("bkb", {"p": p, "q": q})
+        assert k.lam == float(k.lam_exact)
+        assert numeric_slope_bounds(k)[1] == pytest.approx(k.lam, rel=1e-9)
 
 
 class TestSpecificRows:
