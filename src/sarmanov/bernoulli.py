@@ -396,10 +396,16 @@ class ExchangeableSumSpec(BernoulliSpec):
 
     def _sample(self, n, rng):
         j = _draw_categorical(self.w, n, rng)
-        # the j smallest of d uniform scores switch their margins on
-        order = rng.random((n, self.d)).argsort(axis=1)
         out = np.empty((n, self.d), dtype=np.uint8)
-        np.put_along_axis(out, order, np.arange(self.d) < j[:, None], axis=1)
+        out[:] = (j == self.d)[:, None]  # rows with j = 0 or d are all off or all on
+        mixed = np.flatnonzero((j > 0) & (j < self.d))
+        if mixed.size:
+            # the j smallest of d uniform scores switch their margins on; every
+            # row's scores are drawn, so a row's scores do not depend on the others' j
+            order = rng.random((n, self.d))[mixed].argsort(axis=1)
+            rows = np.empty(order.shape, dtype=np.uint8)
+            np.put_along_axis(rows, order, np.arange(self.d) < j[mixed, None], axis=1)
+            out[mixed] = rows
         return out
 
 

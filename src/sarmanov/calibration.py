@@ -64,6 +64,11 @@ class CalibratedPair:
     def breakpoints(self) -> tuple[float, ...]:
         return self.induced.breakpoints
 
+    @property
+    def quantile_routes(self) -> list[str]:
+        """How ``component_quantile`` inverts F0 and F1: "analytic" or "numeric"."""
+        return ["numeric" if inv is None else "analytic" for inv in (self.F0_inv, self.F1_inv)]
+
 
 # analytic component quantiles for catalog kernels where inversion is trivial
 def _analytic_inverses(k: Kernel):

@@ -265,7 +265,8 @@ def _draw(args):
 
 
 def cmd_sample(args) -> int:
-    cfg, _, batch = _draw(args)
+    cfg, model, batch = _draw(args)
+    margins = (model.base if isinstance(model, PoweredCopula) else model).margins
     columns = [f"u{m + 1}" for m in range(batch.d)]
     with _opened(args.out) as fh:
         fh.write(",".join(columns) + "\n")
@@ -279,6 +280,8 @@ def cmd_sample(args) -> int:
         # byte identity holds for equal (config, n, seed, sampler, numpy version)
         "sampler": SAMPLER_VERSION,
         "sarmanov_version": __version__, "numpy_version": np.__version__,
+        # per margin, [F0, F1]: a closed-form inverse or invert_cdf
+        "quantile_routes": [pair.quantile_routes for pair in margins],
     }
     if args.out:
         with open(args.out + ".meta.json", "w") as fh:

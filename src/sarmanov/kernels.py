@@ -396,15 +396,10 @@ def catalog_lookup(name: str, params: Mapping[str, float] | None = None) -> Kern
         ) from e
 
 
-def kernel_area(k: Kernel, numeric: bool = False) -> float:
-    """Signed area kappa = integral of g over [0, 1].
-
-    Returns the stored analytic value unless ``numeric`` forces adaptive
-    quadrature (used as the anti-typo oracle for the catalog).
-    """
-    if numeric:
-        return quad01(k.g, k.breakpoints)
-    return k.kappa
+def kernel_area(k: Kernel) -> float:
+    """Signed area integral of g over [0, 1] by adaptive quadrature: the
+    anti-typo oracle for the stored ``k.kappa``."""
+    return quad01(k.g, k.breakpoints)
 
 
 def numeric_slope_bounds(k: Kernel) -> tuple[float, float]:

@@ -183,8 +183,8 @@ def invert_cdf(F: Callable, q) -> np.ndarray:
     kind = np.zeros(cells + 2, dtype=np.int8)  # by bracket index: 0 none, 1 flat cell, 2 steep
     kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
     steep = kind[1:] == 2  # by cell, with a False cell past u = 1
-    nodes = _inverse_nodes(F, table, kind)
-    out = _by_chunks(q.ravel(), lambda chunk: _guess(F, nodes, steep, chunk),
+    diffs = _differences(_inverse_nodes(F, table, kind))
+    out = _by_chunks(q.ravel(), lambda chunk: _guess(F, diffs, steep, chunk),
                      lambda rest: _search_route(F, table, kind, rest))
     return out.reshape(q.shape)
 
@@ -230,20 +230,33 @@ def _inverse_nodes(F: Callable, table: np.ndarray, kind: np.ndarray) -> np.ndarr
     return nodes
 
 
-def _guess(F: Callable, nodes: np.ndarray, steep: np.ndarray, q: np.ndarray):
-    """(hi, rows that fail the check) for one chunk of ``invert_cdf``."""
-    n, half = nodes.size - 1, 2.0 ** -(XTOL_BITS + 1)
+def _differences(nodes: np.ndarray) -> np.ndarray:
+    """Row k holds the k-th forward differences of ``nodes`` at every start
+    s of a GUESS_POINTS-node window, (GUESS_POINTS, nodes.size + 1 - GUESS_POINTS).
+    Each entry is formed by the subtractions a per-window table would make,
+    so the values do not depend on which windows a chunk uses."""
+    starts = nodes.size + 1 - GUESS_POINTS
+    out = np.empty((GUESS_POINTS, starts))
+    level = nodes
+    for k in range(GUESS_POINTS):
+        out[k] = level[:starts]
+        level = level[1:] - level[:-1]
+    return out
+
+
+def _guess(F: Callable, diffs: np.ndarray, steep: np.ndarray, q: np.ndarray):
+    """(hi, rows that fail the check) for one chunk of ``invert_cdf``;
+    ``diffs`` is ``_differences`` of the inverse table."""
+    n, half = diffs.shape[1] + GUESS_POINTS - 2, 2.0 ** -(XTOL_BITS + 1)
     qn = q * n  # exact: n is a power of 2
     s = np.clip(qn.astype(np.intp) - (GUESS_POINTS // 2 - 1), 0, n + 1 - GUESS_POINTS)
     t = qn - s
     # Newton's forward form of the polynomial through (s + k, nodes[s + k])
-    ys, diffs = [nodes[s + k] for k in range(GUESS_POINTS)], []
-    while ys:
-        diffs.append(ys[0])
-        ys = [b - a for a, b in zip(ys, ys[1:])]
-    x = diffs.pop()
-    for k in range(len(diffs) - 1, -1, -1):
-        x = diffs[k] + (t - k) / (k + 1) * x
+    at = diffs.take(s, axis=1)
+    x = at[-1]
+    for k in range(GUESS_POINTS - 2, -1, -1):
+        x *= (t - k) / (k + 1)
+        x += at[k]
     np.clip(x, half, 1.0 - half, out=x)
     ends = np.concatenate((x - half, x + half))
     vals = np.asarray(F(ends), dtype=float)

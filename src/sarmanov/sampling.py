@@ -59,5 +59,8 @@ def sample_powered(powered: PoweredCopula, n: int, seed: int, copula_id: str = "
     n, r = int(n), powered.r
     base = sample(powered.base, n * r, seed)
     blocks = base.rows.reshape(n, r, 2)
-    rows = blocks.max(axis=1) ** r
+    top = blocks[:, 0].copy()
+    for k in range(1, r):  # r slices, not a length-r inner loop per element
+        np.maximum(top, blocks[:, k], out=top)
+    rows = top ** r
     return SampleBatch(rows=rows, seed=int(seed), copula_id=copula_id)

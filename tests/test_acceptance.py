@@ -58,7 +58,7 @@ def exchangeable_copula(kernel_name, bern):
 def test_criterion_01_catalog_fidelity():
     for name in CATALOG_IDS:
         k = default_kernel(name)
-        assert kernel_area(k, numeric=True) == pytest.approx(k.kappa, abs=1e-10), name
+        assert kernel_area(k) == pytest.approx(k.kappa, abs=1e-10), name
         L, lam = numeric_slope_bounds(k)
         assert L == pytest.approx(k.Lambda, rel=1e-6), name
         assert lam == pytest.approx(k.lam, rel=1e-6), name

@@ -287,6 +287,18 @@ class TestPalindromic:
                 assert abs(float(spec.theta_k_exact(k))) < 1e-14
 
 
+class RecordingRng:
+    """A generator stand-in: ``random(size)`` returns ``draw(size)`` and
+    records each size asked for."""
+
+    def __init__(self, draw):
+        self.draw, self.sizes = draw, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.draw(size)
+
+
 class TestSampling:
     def test_independent_marginal_frequencies(self):
         n = 1_000_000
@@ -338,6 +350,37 @@ class TestSampling:
         got = sample_indices(spec, 5000, seed=5)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("d", [2, 10, 40])
+    def test_epd_states_match_double_argsort_without_scores(self, d):
+        # every epd row has j = 0 or d, so the (n, d) score block is not drawn;
+        # nothing reads stream 0 after the index draw, so the bytes stay
+        n, rng = 5000, stream(6, 0)
+        j = bn._draw_categorical(epd(d).w, n, rng)
+        ranks = rng.random((n, d)).argsort(axis=1).argsort(axis=1)
+        expected = (ranks < j[:, None]).astype(np.uint8)
+        np.testing.assert_array_equal(sample_indices(epd(d), n, seed=6), expected)
+        recorder = RecordingRng(stream(6, 0).random)
+        assert np.array_equal(epd(d).sample(n, recorder), expected)
+        assert recorder.sizes == [n]
+
+    @pytest.mark.parametrize("d", [3, 10, 40])
+    def test_tied_scores_give_the_full_block_scatter(self, d):
+        # rows with j = 0, d and in between; scores on a grid of 3 values tie
+        n = 3000
+        w = np.full(d + 1, 0.5 / (d - 1))
+        w[0], w[-1] = 0.3, 0.2
+        spec = ExchangeableSumSpec(w)
+        levels = np.random.default_rng(d).random(n)
+        scores = np.floor(np.random.default_rng(d + 1).random((n, d)) * 3) / 3
+        recorder = RecordingRng(lambda size: levels if size == n else scores)
+        got = spec.sample(n, recorder)
+        j = bn._draw_categorical(spec.w, n, RecordingRng(lambda size: levels))
+        assert np.any(j == 0) and np.any(j == d) and np.any((j > 0) & (j < d))
+        expected = np.empty((n, d), dtype=np.uint8)
+        np.put_along_axis(expected, scores.argsort(axis=1), np.arange(d) < j[:, None], axis=1)
+        assert np.array_equal(got, expected)
+        assert recorder.sizes == [n, (n, d)]
 
     def test_deterministic_given_seed(self):
         spec = ExchangeableSumSpec([0.25, 0.25, 0.25, 0.25])

@@ -21,8 +21,11 @@ from sarmanov.errors import DegenerateKernel, NotCalibrated, NotMonotone
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, custom_kernel
 from sarmanov.numerics import (
     CHUNK_ROWS,
+    FLAT_BITS,
+    GUESS_POINTS,
     INVERSE_TABLES,
     TABLE_BITS,
+    XTOL_BITS,
     bisect_cdf,
     bracket_search,
     invert_cdf,
@@ -352,6 +355,51 @@ class TestNumericInversion:
         lo = np.floor(bisect_cdf(F, q) * 4096) / 4096
         inside = bisect_cdf(F, q, 48, lo, lo + 1 / 4096)
         np.testing.assert_array_equal(inside, bisect_cdf(F, q))
+
+
+def _per_row_guess(F, nodes, steep, q):
+    """``numerics._guess`` with the six nodes gathered and differenced per
+    row: the reference the shared difference table must reproduce bit for bit."""
+    n, half = nodes.size - 1, 2.0 ** -(XTOL_BITS + 1)
+    qn = q * n
+    s = np.clip(qn.astype(np.intp) - (GUESS_POINTS // 2 - 1), 0, n + 1 - GUESS_POINTS)
+    t = qn - s
+    ys, diffs = [nodes[s + k] for k in range(GUESS_POINTS)], []
+    while ys:
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    x = diffs.pop()
+    for k in range(len(diffs) - 1, -1, -1):
+        x = diffs[k] + (t - k) / (k + 1) * x
+    np.clip(x, half, 1.0 - half, out=x)
+    ends = np.concatenate((x - half, x + half))
+    vals = np.asarray(F(ends), dtype=float)
+    ok = steep[(ends * (steep.size - 1)).astype(np.intp)]
+    m = q.size
+    ok = ok[:m] & ok[m:] & (vals[:m] < q) & (q <= vals[m:])
+    return ends[m:], np.flatnonzero(~ok)
+
+
+class TestGuessBytes:
+    """The difference table formed once per call gives the per-row guesses."""
+
+    @pytest.mark.parametrize("name", ["sin", "hkii", "explicit:fgm_damped"])  # hkii at q = 2
+    @pytest.mark.parametrize("size", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5])
+    def test_matches_per_row_newton(self, name, size):
+        pair = NUMERIC_PAIRS[name]()
+        q = np.random.default_rng(size).random(size)
+        q[:len(EDGE_Q)] = EDGE_Q[:size]
+        cells = 1 << TABLE_BITS
+        for F in (pair.F0, pair.F1):
+            table = np.asarray(F(np.linspace(0.0, 1.0, cells + 1)), dtype=float)
+            kind = np.zeros(cells + 2, dtype=np.int8)
+            kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
+            steep = kind[1:] == 2
+            nodes = numerics._inverse_nodes(F, table, kind)
+            hi, rest = numerics._guess(F, numerics._differences(nodes), steep, q)
+            ref_hi, ref_rest = _per_row_guess(F, nodes, steep, q)
+            assert np.array_equal(hi, ref_hi)
+            assert np.array_equal(rest, ref_rest)
 
 
 @given(q=st.floats(0.0, 1.0), name=st.sampled_from(["fgm", "hkii", "lee_quadratic", "sin"]))

@@ -256,6 +256,21 @@ class TestSample:
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 
+    @pytest.mark.parametrize("margins, r, routes", [
+        (["fgm", "sin"], 1, [["analytic", "analytic"], ["numeric", "numeric"]]),
+        ([{"id": "hki", "params": {"p": 2}}, "checkerboard"], 1,
+         [["analytic", "numeric"], ["analytic", "analytic"]]),
+        # the base's margins: fgm transformed at r = 2 is hki(p = 2), not fgm
+        (["fgm", "sin"], 2, [["analytic", "numeric"], ["numeric", "numeric"]]),
+    ], ids=["fgm-sin", "hki-checkerboard", "powered-fgm-sin"])
+    def test_sidecar_records_quantile_routes(self, tmp_path, margins, r, routes):
+        cfg = write_config(tmp_path / "cfg.json", a=0.1, n=20, r=r, margins=[
+            {"kernel": {"id": m} if isinstance(m, str) else m} for m in margins])
+        out = tmp_path / "rows.csv"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+        assert meta["quantile_routes"] == routes
+
     def test_reproducible_and_thread_env_inert(self, fgm_config, tmp_path, monkeypatch):
         # SARMANOV_THREADS is no longer read: any value, malformed or not,
         # leaves the run and its bytes unchanged.

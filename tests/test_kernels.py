@@ -42,7 +42,7 @@ class TestCatalogFidelity:
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_quadrature_reproduces_analytic_kappa(self, name):
         k = default_kernel(name)
-        assert kernel_area(k, numeric=True) == pytest.approx(k.kappa, abs=1e-10)
+        assert kernel_area(k) == pytest.approx(k.kappa, abs=1e-10)
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_grid_extremization_reproduces_slope_bounds(self, name):

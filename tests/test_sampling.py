@@ -6,7 +6,13 @@ import pytest
 from sarmanov import numerics
 from sarmanov.bernoulli import BivariateThetaSpec, end3, epd, independent
 from sarmanov.calibration import calibrate_from_kernel
-from sarmanov.copula import SarmanovCopula, build_powered, make_bivariate
+from sarmanov.copula import (
+    SarmanovCopula,
+    admissible_a_interval,
+    build_powered,
+    make_bivariate,
+    transform_kernel,
+)
 from sarmanov.errors import NotAdmissible
 from sarmanov.kernels import DEFAULT_PARAMS, catalog_lookup
 from sarmanov.numerics import ks_statistic
@@ -153,6 +159,17 @@ class TestPowered:
         emp = float(np.mean(np.all(rows <= 0.5, axis=1)))
         se = np.sqrt(target * (1 - target) / n)
         assert emp == pytest.approx(target, abs=3 * se)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("names", [("fgm", "fgm"), ("sin", "hkii")])
+    def test_running_maximum_is_the_block_maximum(self, names, r):
+        k1, k2 = kernel(names[0]), kernel(names[1])
+        n, seed = 3001, 50 + r
+        pw = build_powered(k1, k2, a=0.5 * admissible_a_interval(
+            transform_kernel(k1, r), transform_kernel(k2, r))[1], r=r)
+        base = sample(pw.base, n * r, seed).rows
+        assert np.array_equal(sample_powered(pw, n, seed).rows,
+                              base.reshape(n, r, 2).max(axis=1) ** r)
 
     def test_powered_reproducible(self):
         pw = build_powered(catalog_lookup("fgm"), catalog_lookup("fgm"), a=0.25, r=3)
