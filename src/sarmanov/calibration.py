@@ -94,7 +94,8 @@ def calibrate_from_kernel(k: Kernel) -> CalibratedPair:
     Lambda, lam = k.Lambda, k.lam
     if not (math.isfinite(Lambda) and math.isfinite(lam)) or not (lam < 0 < Lambda):
         raise DegenerateKernel(f"kernel {k.id} has unusable slope bounds ({Lambda}, {lam})")
-    pi = Lambda / (Lambda - lam)
+    # the exact ratio rounded once when both bounds are rational
+    pi = float(k.constant("Lambda") / (k.constant("Lambda") - k.constant("lam")))
 
     F0 = lambda u, k=k, L=Lambda: np.asarray(u, dtype=float) - L * np.asarray(k.g(u))  # noqa: E731
     F1 = lambda u, k=k, l=lam: np.asarray(u, dtype=float) - l * np.asarray(k.g(u))  # noqa: E731

@@ -16,6 +16,7 @@ inclusion-exclusion and is kept as an independent certification route.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -31,9 +32,10 @@ from .errors import (
     ParamOutOfRange,
     UnboundedAtOrigin,
 )
-from .kernels import Kernel, catalog_lookup, custom_kernel
+from .kernels import CATALOG_IDS, Kernel, catalog_lookup, custom_kernel
 
 ORACLE_TOL = -1e-9  # rounding allowance for 2^d-term alternating sums
+TRANSFORMS_KEPT = 64  # generic transforms of catalog kernels kept, by (id, params, r)
 
 
 def admissible_a_interval(k1: Kernel, k2: Kernel) -> tuple[float, float]:
@@ -263,7 +265,10 @@ def transform_kernel(k: Kernel, r: int) -> Kernel:
 
     The classical families are closed under this map (fgm -> hki(r),
     hki(p) -> hki(p*r), hkii(q) -> bkb(r, q), bkb(p, q) -> bkb(p*r, q));
-    other kernels go through the generic numeric route.
+    other kernels go through the generic numeric route. A catalog kernel's
+    generic transform is a function of (id, params, r), so it is built once
+    and kept (``_catalog_transform``); custom and explicit kernels are
+    transformed on every call.
     """
     if r == 1:
         return k
@@ -275,7 +280,15 @@ def transform_kernel(k: Kernel, r: int) -> Kernel:
         return catalog_lookup("bkb", {"p": r, "q": k.params["q"]})
     if k.id == "bkb":
         return catalog_lookup("bkb", {"p": k.params["p"] * r, "q": k.params["q"]})
+    if k.id in CATALOG_IDS:
+        t = _catalog_transform(k.id, tuple(sorted(k.params.items())), r)
+        return replace(t, params=dict(k.params))  # the caller's params, not the kept dict
     return _transform_generic(k, r)
+
+
+@functools.lru_cache(maxsize=TRANSFORMS_KEPT)
+def _catalog_transform(kernel_id: str, params: tuple, r: int) -> Kernel:
+    return _transform_generic(catalog_lookup(kernel_id, dict(params)), r)
 
 
 def _transform_generic(k: Kernel, r: int) -> Kernel:

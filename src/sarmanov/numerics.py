@@ -18,7 +18,7 @@ REFINE_XTOL = 1e-10
 BISECT_ITERS = 60  # bisect_cdf's default: 2^-60 width on [0, 1]
 TABLE_BITS = 12  # invert_cdf tabulates F on 2^12 + 1 points
 XTOL_BITS = 44  # and returns hi of a bracket 2^-44 wide, below the 1e-12 target
-FLAT_BITS = 6  # cells where F rises by less than 2^-6 of their width are bisected
+FLAT_BITS = 8  # cells where F rises by less than 2^-8 of their width are bisected
 ILLINOIS_STEPS = 8  # regula falsi steps before bisection takes over
 COMPACT_AFTER = 3  # steps before closed rows are looked for
 CHUNK_ROWS = 1 << 13  # rows refined at a time, which bounds the temporaries
@@ -136,22 +136,13 @@ def bisect_cdf(F: Callable, q: np.ndarray, iters: int = BISECT_ITERS,
 def bracket_search(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """q -> first j with table[j] >= q (table.size if none), for q in [0, 1].
 
-    A nondecreasing table is searched through a guide table (Chen & Asau,
-    1974) of the first index at or above each k/n plus one forward step;
-    ``np.searchsorted`` finishes the few rows left. Any other table takes
-    the path bisection takes over its points, so table[j - 1] < q <= table[j].
+    A nondecreasing table is searched by ``np.searchsorted``. Any other
+    table takes the path bisection takes over its points, so
+    table[j - 1] < q <= table[j].
     """
     n = table.size - 1
     if np.all(table[1:] >= table[:-1]):
-        guide, padded = np.searchsorted(table, np.arange(n + 1) / n), np.append(table, np.inf)
-
-        def search(q):
-            j = guide[np.clip(q * n, 0, n).astype(np.intp)]
-            j += padded[j] < q
-            left = np.flatnonzero(padded[j] < q)
-            j[left] = np.searchsorted(table, q[left])
-            return j
-        return search
+        return lambda q: np.searchsorted(table, q)
 
     def descend(q):
         j = np.zeros(q.shape, dtype=np.intp)
@@ -272,10 +263,10 @@ def _search_route(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarra
     F(lo) < q <= F(hi) on evaluated F (q <= F(0) gives 0, q > F(1) gives 1).
     Illinois regula falsi steps (Dowell & Jarratt, BIT 11, 1971) keep that
     bracket, and a row returns hi once hi - lo <= 2^-44. Rows whose cell is
-    nearly flat (F rises by less than 2^-6 of its width, so rounding in F can
-    move the crossing by more than 1e-12) and rows still open after
-    ILLINOIS_STEPS steps are bisected from their cell instead, which repeats
-    the last steps of ``bisect_cdf(F, q)``.
+    nearly flat (F rises by less than 2^-8 of its width, where rounding of
+    about 2^-52 in F could move the crossing by more than 2^-44) and rows
+    still open after ILLINOIS_STEPS steps are bisected from their cell
+    instead, which repeats the last steps of ``bisect_cdf(F, q)``.
     """
     cells, search = table.size - 1, bracket_search(table)
 
@@ -291,6 +282,8 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
     out = np.minimum(j * h, 1.0)
     kinds = kind[j]
     rows, flat = np.flatnonzero(kinds == 2), np.flatnonzero(kinds == 1)
+    if not rows.size:
+        return out, flat
     qa, ja = q[rows], j[rows]
     # row r's bracket is ends[:, r] = (lo, hi) with vals[:, r] = (F - q there)
     # = (a, b), a < 0 <= b; a step writes x and F(x) - q into one slot per row

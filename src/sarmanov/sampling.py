@@ -22,9 +22,9 @@ from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
 #: bumped whenever sample bytes change on purpose (the README lists each
-#: version); 4 = rational kernel constants rounded once, lee_exponential's g
-#: in expm1 form
-SAMPLER_VERSION = 4
+#: version); 5 = flat table cells at 2^-8 of their width, and pi the exact
+#: ratio Lambda / (Lambda - lam) rounded once
+SAMPLER_VERSION = 5
 
 
 @dataclass(frozen=True)

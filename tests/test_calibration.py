@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,30 @@ class TestFromKernel:
         zero = custom_kernel(lambda u: np.zeros_like(np.asarray(u, float)))
         with pytest.raises(DegenerateKernel):
             calibrate_from_kernel(zero)
+
+    def test_pi_is_the_exact_ratio_rounded_once(self):
+        # pi = Lambda / (Lambda - lam) from each row's closed-form bounds, in
+        # exact arithmetic; the float formula is an ulp off at 37 of these points
+        F = Fraction
+        bounds = {("two_slope", ()): (F(1, 3), F(-1)), ("lee_quadratic", ()): (F(2), F(-2))}
+        for q in range(2, 40):
+            bounds["hkii", (("q", q),)] = (F(1), -F(q + 1, q - 1) ** (q - 1))
+        for p in range(1, 40):
+            bounds["hki", (("p", p),)] = (F(1), F(-1, p))
+            bounds["lee_power", (("k", p),)] = (F(p + 1, p), F(-(p + 1)))
+        for p in range(1, 5):
+            for q in range(2, 12):
+                lam = -F(1 + p * q) ** (q - 1) / (F(p) ** q * F(q - 1) ** (q - 1))
+                bounds["bkb", (("p", p), ("q", q))] = (F(1), lam)
+        for (name, params), (Lambda, lam) in bounds.items():
+            pair = pair_for(name, dict(params))
+            assert pair.pi == float(Lambda / (Lambda - lam)), (name, params)
+        assert pair_for("hkii", {"q": 7}).pi == 0.1510880829015544
+
+    @pytest.mark.parametrize("name", ["sin_asym", "norm_lee", "lai_xie", "lee_exponential"])
+    def test_pi_keeps_the_float_formula_for_irrational_bounds(self, name):
+        k = catalog_lookup(name, DEFAULT_PARAMS.get(name, {}))
+        assert calibrate_from_kernel(k).pi == k.Lambda / (k.Lambda - k.lam)
 
 
 class TestExplicitPair:
@@ -349,12 +374,66 @@ class TestNumericInversion:
         q = np.concatenate([np.random.default_rng(9).random(2000), EDGE_Q, table[::64]])
         np.testing.assert_array_equal(bracket_search(table)(q), np.searchsorted(table, q))
 
+    def test_illinois_leaves_flat_rows_without_evaluating_F(self):
+        # u^8 rises by less than 2^-8 of a cell's width below u = 0.05
+        calls = []
+
+        def F(u):
+            calls.append(np.size(u))
+            return np.asarray(u, dtype=float) ** 8
+
+        cells = 1 << TABLE_BITS
+        table = F(np.linspace(0.0, 1.0, cells + 1))
+        kind = np.zeros(cells + 2, dtype=np.int8)
+        kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
+        q = 0.05 ** 8 * (1.0 - np.random.default_rng(10).random(200))
+        j = bracket_search(table)(q)
+        assert np.all(kind[j] == 1)
+        calls.clear()
+        _, rest = numerics._illinois(F, table, kind, q, j)
+        np.testing.assert_array_equal(rest, np.arange(q.size))
+        assert calls == []
+
     def test_bisection_inside_a_bracket(self):
         F = pair_for("sin").F0
         q = np.random.default_rng(5).random(100)
         lo = np.floor(bisect_cdf(F, q) * 4096) / 4096
         inside = bisect_cdf(F, q, 48, lo, lo + 1 / 4096)
         np.testing.assert_array_equal(inside, bisect_cdf(F, q))
+
+
+# every catalog kernel at its default, and non-default points of the rows
+# that take parameters
+TAIL_POINTS = [(name, DEFAULT_PARAMS.get(name, {})) for name in CATALOG_IDS] + [
+    ("hki", {"p": 0.5}), ("hki", {"p": 7}), ("hkii", {"q": 1.5}), ("hkii", {"q": 7}),
+    ("bkb", {"p": 0.5, "q": 3.5}), ("bkb", {"p": 3, "q": 8}), ("lai_xie", {"a": 1.5, "b": 3}),
+    ("lai_xie", {"a": 4, "b": 1.5}), ("lee_power", {"k": 1}), ("lee_power", {"k": 6}),
+]
+
+
+class TestFlatRuleTails:
+    """Cells where F rises by less than 2^-FLAT_BITS of their width are
+    bisected; every other row ends on a 2^-44 bracket. Checked where F is
+    flattest, at q near 0 and 1, on the r-th power transforms as well."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name, params", TAIL_POINTS,
+                             ids=[f"{n}{sorted(p.values())}" for n, p in TAIL_POINTS])
+    def test_matches_bisection_in_the_tails(self, name, params, r):
+        pair = calibrate_from_kernel(transform_kernel(catalog_lookup(name, params), r))
+        rng = np.random.default_rng(r)
+        q = np.concatenate([rng.random(3000), 10.0 ** -rng.uniform(0, 14, 3000),
+                            1.0 - 10.0 ** -rng.uniform(0, 14, 3000)])
+        for F in (pair.F0, pair.F1):
+            u, ref = invert_cdf(F, q), bisect_cdf(F, q)
+            assert np.max(np.abs(u - ref)) <= 1e-12
+            assert np.all(F(u) >= q)
+            # leftmost as in TestNumericInversion, where bisection is: at q
+            # near 1e-9, F = u - lam g(u) can be rounding noise 1e-9 to the left
+            # (lee_power k = 6, r = 2..4, F1)
+            check = (np.minimum(u, ref) >= 1e-9) & (q >= 1e-9) & (q <= 1.0 - 1e-9)
+            check[check] = F(ref[check] - 1e-9) < q[check]
+            assert np.all(F(u[check] - 1e-9) < q[check])
 
 
 def _per_row_guess(F, nodes, steep, q):

@@ -252,7 +252,7 @@ class TestSample:
         out = tmp_path / "rows.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
-        assert meta["sampler"] == 4
+        assert meta["sampler"] == 5
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 

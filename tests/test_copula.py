@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarmanov import copula
 from sarmanov.bernoulli import (
     BivariateThetaSpec,
     ExchangeableSumSpec,
@@ -508,6 +509,64 @@ class TestTransformedKernels:
         t = transform_kernel(kernel("lee_exponential"), r)
         assert t.Lambda == pytest.approx(1.0 / phi_t.max(), rel=1e-9)
         assert t.lam == pytest.approx(1.0 / phi_t.min(), rel=1e-9)
+
+
+class TestTransformMemo:
+    """A catalog kernel's generic transform is built once per (id, params, r)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        copula._catalog_transform.cache_clear()
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return custom_kernel(*args, **kwargs)
+        monkeypatch.setattr(copula, "custom_kernel", counted)
+        return made
+
+    def test_second_build_reuses_the_transforms(self, builds):
+        k1, k2 = kernel("sin"), kernel("sin_squared")
+        build_powered(k1, k2, a=0.1, r=3)
+        assert len(builds) == 2  # one custom_kernel call per kernel
+        build_powered(k1, k2, a=0.05, r=3)
+        assert len(builds) == 2
+        build_powered(k1, k2, a=0.1, r=2)
+        assert len(builds) == 4  # another r is another transform
+
+    @pytest.mark.parametrize("name", ["sin", "norm_lee", "lai_xie", "two_slope"])
+    def test_kept_transform_equals_a_fresh_build(self, name, builds):
+        k = kernel(name, **DEFAULT_PARAMS.get(name, {}))
+        transform_kernel(k, 3)
+        kept, fresh = transform_kernel(k, 3), copula._transform_generic(k, 3)
+        assert len(builds) == 2  # the first call and the fresh build
+        for attr in ("id", "params", "Lambda", "lam", "kappa", "sign_constant", "breakpoints"):
+            assert getattr(kept, attr) == getattr(fresh, attr), attr
+        x = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_array_equal(kept.g(x), fresh.g(x))
+        np.testing.assert_array_equal(kept.phi(x), fresh.phi(x))
+
+    def test_sample_bytes_do_not_depend_on_the_memo(self, builds):
+        k1, k2 = kernel("sin"), kernel("fgm_damped")
+        cold = sample_powered(build_powered(k1, k2, a=0.05, r=2), 5000, seed=4).rows
+        warm = sample_powered(build_powered(k1, k2, a=0.05, r=2), 5000, seed=4).rows
+        assert len(builds) == 2
+        assert cold.tobytes() == warm.tobytes()
+
+    def test_params_handed_out_are_a_copy(self, builds):
+        k = kernel("lai_xie", a=2, b=3)
+        t = transform_kernel(k, 2)
+        t.params["a"] = 99
+        assert transform_kernel(k, 2).params == {"a": 2, "b": 3}
+        assert k.params == {"a": 2, "b": 3}
+
+    def test_custom_kernels_are_not_kept(self, builds):
+        k = custom_kernel(lambda u: np.sin(np.pi * np.asarray(u, float)) / np.pi,
+                          phi=lambda u: np.cos(np.pi * np.asarray(u, float)))
+        transform_kernel(k, 2)
+        transform_kernel(k, 2)
+        assert len(builds) == 2
+        assert copula._catalog_transform.cache_info().currsize == 0
 
 
 class TestPowered:
