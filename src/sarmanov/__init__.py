@@ -26,7 +26,6 @@ from .bernoulli import (
 )
 from .calibration import (
     CalibratedPair,
-    MarginSampler,
     calibrate_from_kernel,
     component_quantile,
     explicit_pair,
@@ -83,7 +82,6 @@ __all__ = [
     "FullPmfSpec",
     "IndependentSpec",
     "Kernel",
-    "MarginSampler",
     "MeasureReport",
     "OracleReport",
     "PoweredCopula",

@@ -313,6 +313,10 @@ class BivariateThetaSpec(FullPmfSpec):
         # margins are exact by construction; overwrite any pmf rounding
         self.pi = np.array([pi1, pi2], dtype=float)
 
+    def _moment(self, idx):
+        # {1, 2} is the only subset: theta as given, not read off the rounded pmf
+        return self.theta
+
     def admissibility_check(self) -> AdmissibilityCertificate:
         cert = super().admissibility_check()
         cert.theta_interval = theta_range_bivariate(self.pi[0], self.pi[1])

@@ -117,31 +117,25 @@ def calibrate_from_kernel(k: Kernel) -> CalibratedPair:
                           base_kernel=k, F0_inv=inv0, F1_inv=inv1)
 
 
-def explicit_pair(
-    F0: Callable,
-    F1: Callable,
-    pi: float,
-    breakpoints: tuple[float, ...] = (),
-) -> CalibratedPair:
+def explicit_pair(F0: Callable, F1: Callable, pi: float) -> CalibratedPair:
     """Accept a user-supplied pair after verifying calibration and monotonicity.
 
-    The calibration identity is checked on a 1001-point grid (plus declared
-    breakpoints) to 1e-8; monotonicity and the boundary values F(0)=0,
-    F(1)=1 are checked on the same grid. The induced kernel's slope bounds
+    The calibration identity is checked on a 1001-point grid to 1e-8;
+    monotonicity and the boundary values F(0)=0, F(1)=1 are checked on the
+    same grid. The induced kernel's slope bounds
     come from second-order differences on a 20001-point grid and its area
     from the trapezoid rule on that grid.
     """
     if not (0.0 < pi < 1.0):
         raise NotCalibrated(f"pi must lie in (0,1), got {pi}")
-    grid = np.union1d(_GRID, [b for b in breakpoints if 0.0 < b < 1.0])
-    v0 = np.asarray(F0(grid), dtype=float)
-    v1 = np.asarray(F1(grid), dtype=float)
+    v0 = np.asarray(F0(_GRID), dtype=float)
+    v1 = np.asarray(F1(_GRID), dtype=float)
     for name, v in (("F0", v0), ("F1", v1)):
         if abs(v[0]) > 1e-9 or abs(v[-1] - 1.0) > 1e-9:
             raise NotMonotone(f"{name} must run from 0 at u=0 to 1 at u=1")
         if np.any(np.diff(v) < -MONOTONE_TOL):
             raise NotMonotone(f"{name} decreases on the verification grid")
-    resid = np.max(np.abs((1.0 - pi) * v0 + pi * v1 - grid))
+    resid = np.max(np.abs((1.0 - pi) * v0 + pi * v1 - _GRID))
     if resid > CALIBRATION_TOL:
         raise NotCalibrated(
             f"mixture deviates from the uniform cdf by {resid:.3g} (tolerance {CALIBRATION_TOL})"
@@ -150,7 +144,7 @@ def explicit_pair(
     def g_hat(u, F0=F0, F1=F1, pi=pi):
         return pi * (np.asarray(F1(u), dtype=float) - np.asarray(F0(u), dtype=float))
 
-    gv = g_hat(grid)
+    gv = g_hat(_GRID)
     if np.max(np.abs(gv)) < 1e-12:
         induced = Kernel("induced:zero", {}, g=g_hat,
                          phi=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
@@ -166,8 +160,7 @@ def explicit_pair(
             # trapezoid: explicit pairs are typically tabulated, with kinks
             # that defeat adaptive panels; 2e4 points beat the 1e-8 data tolerance
             kappa=float(np.trapezoid(gv_dense, dense)),
-            sign_constant=not sign_changes(g_hat, breakpoints),
-            breakpoints=tuple(breakpoints),
+            sign_constant=not sign_changes(g_hat),
         )
     return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced)
 
@@ -207,20 +200,3 @@ def component_quantile(pair: CalibratedPair, which: int, q) -> np.ndarray | floa
         out = invert_cdf(F, q_arr)
     return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
 
-
-class MarginSampler:
-    """Vectorized inverse-cdf sampler for one calibrated pair."""
-
-    def __init__(self, pair: CalibratedPair):
-        self.pair = pair
-
-    def quantile(self, index: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Map uniform draws q through the component selected per-row by
-        ``index`` (0/1)."""
-        index = np.asarray(index, dtype=bool)
-        q = np.asarray(q, dtype=float)
-        out = np.empty_like(q)
-        for which, rows in enumerate((np.flatnonzero(~index), np.flatnonzero(index))):
-            if rows.size:
-                out[rows] = component_quantile(self.pair, which, q[rows])
-        return out

@@ -4,8 +4,9 @@ The d-variate cdf is a mixture of independent components indexed by the
 latent Bernoulli vector I: C(u) = E prod_m F_{m,[I_m]}(u_m), where
 F_{m,[I]}(u) = u + ghat_m(u) Z_m, ghat_m is the induced kernel of margin m
 and Z_m = (I_m - pi_m)/pi_m. ``SarmanovCopula.cdf`` hands it to the law's
-``BernoulliSpec.mix`` hook with (a_m, b_m) = (u_m, ghat_m(u_m)). Every term is
->= 0 for an admissible law, so the lower tail is accurate in relative terms.
+``BernoulliSpec.mix`` hook with (a_m, b_m) = (u_m, ghat_m(u_m)), and
+``density`` with (1, phihat_m(u_m)). Every cdf term is >= 0 for an
+admissible law, so the lower tail is accurate in relative terms.
 Expanded over subsets it is the theta sum; for d = 2 and kernel-built margins
 it is the classical u1*u2 + a*g1(u1)*g2(u2) with a = Lambda1*Lambda2*theta.
 
@@ -102,24 +103,21 @@ class SarmanovCopula:
 
     def cdf(self, u) -> float | np.ndarray:
         """C(u) for one point (shape (d,)) or a batch (shape (N, d))."""
-        pts = np.asarray(u, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        return self._mix_at(u, lambda p, x: (x, np.asarray(p.g(x), dtype=float)))
+
+    def density(self, u) -> float | np.ndarray:
+        """c(u) = E prod_m (1 + phihat_m(u_m) Z_m), points as for ``cdf``."""
+        if any(p.induced.phi is None for p in self.margins):
+            raise NoDerivative("margins do not carry derivatives")
+        return self._mix_at(u, lambda p, x: (np.ones_like(x), np.asarray(p.induced.phi(x), dtype=float)))
+
+    def _mix_at(self, u, factors) -> float | np.ndarray:
+        """``bern.mix`` with (a_m, b_m) = factors(margin m, column m of the points)."""
+        pts, single = np.atleast_2d(np.asarray(u, dtype=float)), np.ndim(u) == 1
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} columns")
-        out = self.bern.mix(list(pts.T), [np.asarray(p.g(x), dtype=float) for p, x in zip(self.margins, pts.T)])
+        out = self.bern.mix(*zip(*(factors(p, x) for p, x in zip(self.margins, pts.T))))
         return float(out[0]) if single else out
-
-    def density(self, u1, u2) -> float | np.ndarray:
-        """Bivariate density 1 + theta * phihat1(u1) * phihat2(u2)."""
-        if self.d != 2:
-            raise ValueError("closed-form densities are bivariate only")
-        p1, p2 = self.margins
-        if p1.induced.phi is None or p2.induced.phi is None:
-            raise NoDerivative("margins do not carry derivatives")
-        val = 1.0 + self.theta * np.asarray(p1.induced.phi(u1)) * np.asarray(p2.induced.phi(u2))
-        return float(val) if np.ndim(val) == 0 else val
 
     def mixture_cdf_oracle(self, u) -> float:
         """Independent evaluation route: E[prod_m F_{m,[I_m]}(u_m)] by

@@ -75,17 +75,17 @@ def _refine_extremum(f: Callable, lo: float, mid: float, hi: float, maximize: bo
     return max(cand, grid) if maximize else min(cand, grid)
 
 
-def scan_extrema(f: Callable, n_grid: int = SLOPE_GRID) -> tuple[float, float]:
-    """(sup, inf) of f on [0, 1]: dense uniform scan plus local golden polish."""
-    xs = np.linspace(0.0, 1.0, n_grid)
+def scan_extrema(f: Callable) -> tuple[float, float]:
+    """(sup, inf) of f on [0, 1]: a SLOPE_GRID-point uniform scan plus local golden polish."""
+    xs = np.linspace(0.0, 1.0, SLOPE_GRID)
     vals = np.asarray(f(xs), dtype=float)
     imax = int(np.argmax(vals))
     imin = int(np.argmin(vals))
     sup = float(vals[imax])
     inf = float(vals[imin])
-    if 0 < imax < n_grid - 1:
+    if 0 < imax < SLOPE_GRID - 1:
         sup = max(sup, _refine_extremum(f, xs[imax - 1], xs[imax], xs[imax + 1], True))
-    if 0 < imin < n_grid - 1:
+    if 0 < imin < SLOPE_GRID - 1:
         inf = min(inf, _refine_extremum(f, xs[imin - 1], xs[imin], xs[imin + 1], False))
     return sup, inf
 
@@ -306,6 +306,8 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
         # half the tolerance off both ends, so that an estimate next to the
         # root closes the bracket; 0/0 (a and b both 0) goes to lo
         np.fmin(np.fmax(x, lo + 0.5 * xtol, out=x), hi - 0.5 * xtol, out=x)
+        # a closed row steps onto its lo (F < q there), so its bracket stays put
+        np.copyto(x, lo, where=hi - lo <= xtol)
         g = np.asarray(F(x), dtype=float) - qa
         was_above, above = above, g >= 0
         if step:  # Illinois: halve F - q at an end kept twice in a row (halving

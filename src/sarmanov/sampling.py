@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import sample_indices
-from .calibration import MarginSampler
+from .calibration import component_quantile
 from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
 #: bumped whenever sample bytes change on purpose (the README lists each
-#: version); 5 = flat table cells at 2^-8 of their width, and pi the exact
-#: ratio Lambda / (Lambda - lam) rounded once
-SAMPLER_VERSION = 5
+#: version); 6 = a numeric quantile is a function of (F, q) alone: a row whose
+#: regula falsi bracket has closed keeps it while the rest of its call steps on
+SAMPLER_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,15 @@ def sample(copula: SarmanovCopula, n: int, seed: int, copula_id: str = "") -> Sa
     n = int(n)
     idx = sample_indices(copula.bern, n, seed)  # refuses inadmissible laws
     rows = np.empty((n, copula.d), dtype=float)
-    for m in range(copula.d):
+    for m, pair in enumerate(copula.margins):
         q = stream(seed, m + 1).random(n)
-        rows[:, m] = MarginSampler(copula.margins[m]).quantile(idx[:, m], q)
+        on = idx[:, m].astype(bool)
+        out = np.empty_like(q)  # contiguous, unlike rows[:, m]; reusing q raised peak RSS
+        for which, picked in enumerate((np.flatnonzero(~on), np.flatnonzero(on))):
+            if picked.size:
+                out[picked] = component_quantile(pair, which, q[picked])
+        rows[:, m] = out
+        del on, picked, out  # freed before the next margin's uniforms are drawn: lower peak RSS
     return SampleBatch(rows=rows, seed=int(seed), copula_id=copula_id)
 
 

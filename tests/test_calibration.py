@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from sarmanov import numerics
 from sarmanov.calibration import (
-    MarginSampler,
     calibrate_from_kernel,
     component_quantile,
     explicit_pair,
@@ -204,14 +203,14 @@ class TestQuantiles:
             u = component_quantile(pair, which, q)
             np.testing.assert_allclose(np.asarray(F(u), float), q, atol=1e-10)
 
-    def test_margin_sampler_mixture_is_uniform(self):
+    def test_component_mixture_is_uniform(self):
         n = 100_000
         for name in ("fgm", "hkii", "checkerboard", "bkb"):
             pair = pair_for(name)
             rng = stream(11, 0)
-            idx = (rng.random(n) < pair.pi).astype(np.uint8)
+            on = rng.random(n) < pair.pi
             q = stream(11, 1).random(n)
-            u = MarginSampler(pair).quantile(idx, q)
+            u = np.where(on, component_quantile(pair, 1, q), component_quantile(pair, 0, q))
             assert ks_statistic(u) < 1.63 / np.sqrt(n), name
 
 
@@ -393,6 +392,22 @@ class TestNumericInversion:
         _, rest = numerics._illinois(F, table, kind, q, j)
         np.testing.assert_array_equal(rest, np.arange(q.size))
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["sin", "norm_lee", "hkii"])
+    def test_search_route_depends_on_F_and_q_alone(self, name):
+        # a row's value must not depend on the other rows of its call or on
+        # when its chunk drops the rows whose brackets have closed
+        cells = 1 << TABLE_BITS
+        q = np.random.default_rng(1).random(1000)
+        for F in (pair_for(name).F0, pair_for(name).F1):
+            table = F(np.linspace(0.0, 1.0, cells + 1))
+            kind = np.zeros(cells + 2, dtype=np.int8)
+            kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
+            batched = numerics._search_route(F, table, kind, q)
+            one_row = [numerics._search_route(F, table, kind, q[i:i + 1]) for i in range(q.size)]
+            split = [numerics._search_route(F, table, kind, part) for part in np.array_split(q, 7)]
+            np.testing.assert_array_equal(np.concatenate(one_row), batched)
+            np.testing.assert_array_equal(np.concatenate(split), batched)
 
     def test_bisection_inside_a_bracket(self):
         F = pair_for("sin").F0

@@ -89,6 +89,16 @@ class TestValidate:
         assert payload["theta_interval"] == [-1.0, 1.0]
         assert payload["violations"]
 
+    @pytest.mark.parametrize("kernels", [("fgm", "fgm"), ("norm_lee", "lee_exponential")])
+    @pytest.mark.parametrize("theta", [0.1, -0.3, 0.7, 1 / 3])
+    def test_theta_in_is_theta_out(self, tmp_path, capsys, kernels, theta):
+        cfg = {"schema": "sarmanov-config/1", "d": 2, "theta": theta,
+               "margins": [{"kernel": {"id": k}} for k in kernels]}
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == theta
+
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -252,7 +262,7 @@ class TestSample:
         out = tmp_path / "rows.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
-        assert meta["sampler"] == 5
+        assert meta["sampler"] == 6
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 

@@ -14,6 +14,7 @@ from sarmanov.bernoulli import (
     ExchangeableSumSpec,
     FullPmfSpec,
     comonotone,
+    end3,
     epd,
     independent,
     sample_indices,
@@ -38,7 +39,7 @@ from sarmanov.errors import (
     ParamOutOfRange,
     UnboundedAtOrigin,
 )
-from sarmanov.kernels import DEFAULT_PARAMS, Kernel, catalog_lookup, custom_kernel
+from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, Kernel, catalog_lookup, custom_kernel
 from sarmanov.measures import orthant_rho, orthant_rho_exact, spearman_analytic_exact
 from sarmanov.sampling import sample, sample_powered
 
@@ -371,19 +372,19 @@ class TestDensity:
     def test_independence(self):
         c = make_bivariate(kernel("fgm"), kernel("fgm"), a=0.0)
         u = np.random.default_rng(1).random(50)
-        np.testing.assert_allclose(c.density(u, u[::-1]), 1.0, atol=1e-15)
+        np.testing.assert_allclose(c.density(np.column_stack((u, u[::-1]))), 1.0, atol=1e-15)
 
     def test_fgm_corners(self):
         c = make_bivariate(kernel("fgm"), kernel("fgm"), a=1.0)
-        assert c.density(0.0, 0.0) == pytest.approx(2.0)
-        assert c.density(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert c.density([0.0, 0.0]) == pytest.approx(2.0)
+        assert c.density([0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_nonnegative_when_admissible(self):
         for a in (-1.0, -0.3, 0.5, 1.0):
             c = make_bivariate(kernel("fgm"), kernel("fgm"), a=a)
             u = np.linspace(0, 1, 41)
             uu, vv = np.meshgrid(u, u)
-            assert np.min(c.density(uu.ravel(), vv.ravel())) >= -1e-12
+            assert np.min(c.density(np.column_stack((uu.ravel(), vv.ravel())))) >= -1e-12
 
     def test_matches_cdf_finite_difference(self):
         c = make_bivariate(kernel("hkii", q=2), kernel("sin"), a=0.8)
@@ -391,7 +392,7 @@ class TestDensity:
         for u, v in [(0.3, 0.6), (0.7, 0.2), (0.5, 0.5)]:
             inc = (c.cdf([u + h, v + h]) - c.cdf([u + h, v])
                    - c.cdf([u, v + h]) + c.cdf([u, v])) / h ** 2
-            assert inc == pytest.approx(c.density(u, v), abs=5e-4)
+            assert inc == pytest.approx(c.density([u, v]), abs=5e-4)
 
     def test_requires_derivative(self):
         base = kernel("fgm")
@@ -402,7 +403,71 @@ class TestDensity:
         )
         c = make_bivariate(stripped, stripped, a=0.5)
         with pytest.raises(NoDerivative):
-            c.density(0.5, 0.5)
+            c.density([0.5, 0.5])
+
+    def test_bivariate_closed_form_on_every_catalog_pair(self):
+        # c = 1 + theta phihat1 phihat2, to 1e-15 of the size of its terms
+        ks = [catalog_lookup(name, DEFAULT_PARAMS.get(name, {})) for name in CATALOG_IDS]
+        pts = np.vstack([np.random.default_rng(8).random((200, 2)), [[0, 0], [0, 1], [1, 0], [1, 1]]])
+        for k1 in ks:
+            for k2 in ks:
+                for a in admissible_a_interval(k1, k2):
+                    c = make_bivariate(k1, k2, a=a)
+                    phi1, phi2 = (p.induced.phi(x) for p, x in zip(c.margins, pts.T))
+                    term = c.theta * phi1 * phi2
+                    err = np.abs(c.density(pts) - (1.0 + term))
+                    assert np.all(err <= 1e-15 * (1.0 + np.abs(term))), (k1.id, k2.id, a)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_integrates_to_the_cdf_increment_for_every_law(self, d):
+        # a tensor Gauss-Legendre integral of c over a box away from kernel
+        # breakpoints equals the inclusion-exclusion increment of C; a mixed
+        # central difference cannot check d = 5, where 2^d eps / h^d swamps it
+        rng = np.random.default_rng(d)
+
+        def margins(*names):
+            return [calibrate_from_kernel(catalog_lookup(n, DEFAULT_PARAMS.get(n, {}))) for n in names[:d]]
+
+        distinct = margins("fgm", "hkii", "sin_asym", "norm_lee", "exp_bridge")
+        half = margins("sin", "fgm", "sin_squared", "lee_quadratic", "lai_xie")  # pi = 1/2
+        pis = np.array([p.pi for p in distinct])
+        w = rng.random(d + 1)
+        laws = [(distinct, FullPmfSpec(_two_component_pmf(pis, rng))),
+                (half, ExchangeableSumSpec((w + w[::-1]) / (w + w[::-1]).sum())),
+                (half, epd(d)), (distinct, independent(pis)), (distinct, comonotone(pis))]
+        if d == 3:
+            laws.append((half, end3()))
+        for pairs, law in laws:
+            c = SarmanovCopula(tuple(pairs), law)
+            for _ in range(3):
+                side = rng.uniform(0.1, 0.3, d)
+                lo = rng.uniform(0.02, 0.98 - side)
+                inc = _box_increment(c.cdf, lo, lo + side)
+                got = _gauss_legendre(c.density, lo, lo + side)
+                assert got == pytest.approx(inc, rel=1e-9), law.kind
+
+
+def _two_component_pmf(pis, rng):
+    """Full pmf of an equal mixture of two product laws with margins pis."""
+    bits = (np.arange(1 << pis.size)[:, None] >> np.arange(pis.size)) & 1
+    delta = rng.uniform(-0.6, 0.6, pis.size) * np.minimum(1.0, (1.0 - pis) / pis)
+    return sum(0.5 * np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
+               for p in (pis * (1.0 + delta), pis * (1.0 - delta)))
+
+
+def _gauss_legendre(f, lo, hi, nodes=8):
+    """Tensor Gauss-Legendre rule for the integral of f over the box [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes = (lo + hi) / 2 + (hi - lo) / 2 * x[:, None]
+    pts = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, lo.size)
+    weights = np.prod(np.meshgrid(*[w] * lo.size, indexing="ij"), axis=0).ravel()
+    return float(f(pts) @ weights) * float(np.prod((hi - lo) / 2))
+
+
+def _box_increment(cdf, lo, hi):
+    """C-volume of the box [lo, hi]: the 2^d corners with signs."""
+    on = (np.arange(1 << lo.size)[:, None] >> np.arange(lo.size)) & 1 == 1
+    return float(cdf(np.where(on, hi, lo)) @ (-1.0) ** (lo.size - on.sum(axis=1)))
 
 
 class TestOracle:
