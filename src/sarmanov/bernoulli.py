@@ -171,8 +171,6 @@ class BernoulliSpec:
         if not np.all(np.minimum(self.pi, 1.0 - self.pi) >= PI_FLOOR):  # also rejects NaN
             raise ValueError(MARGINS_OUTSIDE.format(self.pi.tolist()))
         self.d = int(self.pi.size)
-        self._theta_cache: dict[tuple[int, ...], float] = {}
-        self._mask_cache: dict[int, float] | None = None
 
     # hooks ---------------------------------------------------------------
     def _pmf_table(self) -> np.ndarray:
@@ -217,26 +215,16 @@ class BernoulliSpec:
     def mixed_moment(self, S) -> float:
         """theta_S for a subset of 1-based margin indices, |S| >= 2."""
         idx = _subset_key(S, self.d)
-        if idx not in self._theta_cache:
-            try:
-                self._theta_cache[idx] = self._moment(idx)
-            except OverflowError as e:
-                raise MomentOverflow(f"theta_S for S = {idx} exceeds the float range") from e
-        return self._theta_cache[idx]
+        try:
+            return self._moment(idx)
+        except OverflowError as e:
+            raise MomentOverflow(f"theta_S for S = {idx} exceeds the float range") from e
 
     def thetas_by_mask(self) -> dict[int, float]:
         """{subset mask: theta_S} for |S| >= 2, |theta_S| <= THETA_DROP dropped."""
-        if self._mask_cache is None:
-            all_t = _moment_transform(self.pmf_table(), self.pi)
-            out: dict[int, float] = {}
-            for mask in range(1, 1 << self.d):
-                if mask & (mask - 1) == 0:  # singleton
-                    continue
-                v = float(all_t[mask])
-                if abs(v) > THETA_DROP:
-                    out[mask] = v
-            self._mask_cache = out
-        return self._mask_cache
+        all_t = _moment_transform(self.pmf_table(), self.pi)
+        return {mask: float(all_t[mask]) for mask in range(1, 1 << self.d)
+                if mask & (mask - 1) and abs(all_t[mask]) > THETA_DROP}  # no singletons
 
     def palindromic_check(self) -> bool:
         """True iff the law is invariant under flipping every coordinate.
@@ -344,12 +332,11 @@ class ExchangeableSumSpec(BernoulliSpec):
         d = w.size - 1
         self._w_frac = [Fraction(x) for x in self.w]
         self._pi_frac = sum(j * wj for j, wj in enumerate(self._w_frac)) / d
-        pi = float(np.dot(np.arange(d + 1), self.w)) / d
-        # the floor is tested on the exact margin, which the float pi can
-        # round onto (and which the exported table's margin sums round past)
+        # the floor is tested on the exact margin, which its float can round
+        # onto (and which the exported table's margin sums round past)
         if min(self._pi_frac, 1 - self._pi_frac) < PI_FLOOR:
             raise ValueError(MARGINS_OUTSIDE.format([float(self._pi_frac)] * d))
-        super().__init__(np.full(d, pi))
+        super().__init__(np.full(d, float(self._pi_frac)))  # the exact margin rounded once
 
     def theta_k_exact(self, k: int) -> Fraction:
         """Size-k moment by exact hypergeometric summation over the sum law:

@@ -149,7 +149,7 @@ def explicit_pair(F0: Callable, F1: Callable, pi: float) -> CalibratedPair:
         induced = Kernel("induced:zero", {}, g=g_hat,
                          phi=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                          Lambda=math.inf, lam=-math.inf, kappa=0.0,
-                         sign_constant=True, degenerate=True)
+                         sign_constant=True)
     else:
         dense = np.linspace(0.0, 1.0, 20_001)
         gv_dense = np.asarray(g_hat(dense), dtype=float)

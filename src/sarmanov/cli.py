@@ -261,7 +261,7 @@ def _draw(args):
     n = args.n if args.n is not None else cfg.n
     seed = args.seed if args.seed is not None else cfg.seed
     draw = sample_powered if isinstance(model, PoweredCopula) else sample
-    return cfg, model, draw(model, n, seed, copula_id=cfg.canonical_hash())
+    return cfg, model, draw(model, n, seed)
 
 
 def cmd_sample(args) -> int:
@@ -290,9 +290,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _, model, batch = _draw(args)
+    cfg, model, batch = _draw(args)
     analytic_model = model if isinstance(model, SarmanovCopula) else None
     rep = measures.empirical_measures(batch, analytic_model)
+    rep.copula_id = cfg.canonical_hash()
     if args.format == "csv":
         lines = ["measure,analytic,empirical,se,z"]
         for key in sorted(set(rep.analytic) | set(rep.empirical)):
@@ -309,8 +310,10 @@ def cmd_measure(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
-    model = cfg.build()
     grid_n = args.grid if args.grid is not None else (50 if cfg.d == 2 else 20)
+    if grid_n < 1:
+        raise ConfigError(f"--grid must be an integer >= 1, got {grid_n}")
+    model = cfg.build()
     if isinstance(model, PoweredCopula):
         evaluator, d = model.cdf_points, 2
     else:

@@ -37,6 +37,7 @@ from .kernels import CATALOG_IDS, Kernel, catalog_lookup, custom_kernel
 
 ORACLE_TOL = -1e-9  # rounding allowance for 2^d-term alternating sums
 TRANSFORMS_KEPT = 64  # generic transforms of catalog kernels kept, by (id, params, r)
+ORACLE_POINTS = 1 << 22  # lattice points the oracle evaluates at most (d = 5 at grid 20)
 
 
 def admissible_a_interval(k1: Kernel, k2: Kernel) -> tuple[float, float]:
@@ -45,7 +46,7 @@ def admissible_a_interval(k1: Kernel, k2: Kernel) -> tuple[float, float]:
     [-min(Lambda1*Lambda2, lam1*lam2), min(Lambda1*|lam2|, Lambda2*|lam1|)].
     """
     for k in (k1, k2):
-        if k.degenerate or not (math.isfinite(k.Lambda) and math.isfinite(k.lam)):
+        if not (math.isfinite(k.Lambda) and math.isfinite(k.lam)):  # the zero kernel's are not
             raise DegenerateKernel(f"kernel {k.id} has no admissible interval")
     lo = -min(k1.Lambda * k2.Lambda, k1.lam * k2.lam)
     hi = min(k1.Lambda * abs(k2.lam), k2.Lambda * abs(k1.lam))
@@ -183,10 +184,15 @@ def d_increasing_oracle(
     2^d-corner inclusion-exclusion sums, obtained by differencing the
     lattice values once along each axis. Also checks groundedness and
     uniform margins. Violations are reported, never raised; ``worst_cells``
-    holds the 100 lowest increments.
+    holds the 100 lowest increments. The (grid_n + 1)^d lattice is refused
+    (DimensionTooLarge) beyond ORACLE_POINTS before any array exists.
     """
-    if d > 6:
-        raise DimensionTooLarge("oracle cost grows as grid_n^d * 2^d; use d <= 6")
+    if grid_n < 1:
+        raise ValueError(f"the oracle needs grid_n >= 1, got {grid_n}")
+    if (grid_n + 1) ** d > ORACLE_POINTS:
+        raise DimensionTooLarge(
+            f"the oracle's lattice has (grid_n + 1)^d = {(grid_n + 1) ** d} points, "
+            f"above {ORACLE_POINTS}; use a smaller grid or d")
     axes = [np.linspace(0.0, 1.0, grid_n + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -261,8 +267,8 @@ def transform_kernel(k: Kernel, r: int) -> Kernel:
     """Kernel of the auxiliary copula behind an r-th power: x -> x*h(x^r)
     where h(u) = g(u)/u.
 
-    The classical families are closed under this map (fgm -> hki(r),
-    hki(p) -> hki(p*r), hkii(q) -> bkb(r, q), bkb(p, q) -> bkb(p*r, q));
+    The classical families are closed under this map: hki(p) -> hki(p*r)
+    and bkb(p, q) -> bkb(p*r, q), with fgm = hki(1) and hkii(q) = bkb(1, q);
     other kernels go through the generic numeric route. A catalog kernel's
     generic transform is a function of (id, params, r), so it is built once
     and kept (``_catalog_transform``); custom and explicit kernels are
@@ -270,14 +276,10 @@ def transform_kernel(k: Kernel, r: int) -> Kernel:
     """
     if r == 1:
         return k
-    if k.id == "fgm":
-        return catalog_lookup("hki", {"p": r})
-    if k.id == "hki":
-        return catalog_lookup("hki", {"p": k.params["p"] * r})
-    if k.id == "hkii":
-        return catalog_lookup("bkb", {"p": r, "q": k.params["q"]})
-    if k.id == "bkb":
-        return catalog_lookup("bkb", {"p": k.params["p"] * r, "q": k.params["q"]})
+    if k.id in ("fgm", "hki"):
+        return catalog_lookup("hki", {"p": k.params.get("p", 1) * r})
+    if k.id in ("hkii", "bkb"):
+        return catalog_lookup("bkb", {"p": k.params.get("p", 1) * r, "q": k.params["q"]})
     if k.id in CATALOG_IDS:
         t = _catalog_transform(k.id, tuple(sorted(k.params.items())), r)
         return replace(t, params=dict(k.params))  # the caller's params, not the kept dict

@@ -68,7 +68,6 @@ class Kernel:
     kappa: float
     sign_constant: bool
     breakpoints: tuple[float, ...] = ()
-    degenerate: bool = False
     Lambda_exact: Fraction | None = field(default=None, init=False)
     lam_exact: Fraction | None = field(default=None, init=False)
     kappa_exact: Fraction | None = field(default=None, init=False)
@@ -86,10 +85,13 @@ class Kernel:
         exact = getattr(self, f"{name}_exact")
         return getattr(self, name) if exact is None else exact
 
+    @property
+    def degenerate(self) -> bool:
+        """True for the zero kernel, whose slope bounds are infinite."""
+        return math.isinf(self.Lambda)
+
     def slope_sup(self) -> float:
-        """Sup-norm of phi: max(1/Lambda, -1/lam)."""
-        if self.degenerate:
-            return 0.0
+        """Sup-norm of phi: max(1/Lambda, -1/lam), 0 for the zero kernel."""
         return max(1.0 / self.Lambda, -1.0 / self.lam)
 
     def describe(self) -> str:
@@ -453,7 +455,7 @@ def custom_kernel(
     if np.max(np.abs(probe)) < DEGENERATE_TOL:
         return Kernel(
             "custom", {}, g=g_fn, phi=(phi or (lambda u: np.zeros_like(np.asarray(u, dtype=float)))),
-            Lambda=math.inf, lam=-math.inf, kappa=0, sign_constant=True, degenerate=True,
+            Lambda=math.inf, lam=-math.inf, kappa=0, sign_constant=True,
         )
 
     if phi is not None:
@@ -502,8 +504,6 @@ def validate_kernel(k: Kernel) -> None:
     the Lipschitz envelope |g(u)| <= max(1/Lambda, -1/lam) * min(u, 1-u).
     """
     assert abs(float(k.g(0.0))) <= 1e-12 and abs(float(k.g(1.0))) <= 1e-12
-    if k.degenerate:
-        return
     assert k.lam < 0 < k.Lambda
     if k.phi is not None:
         assert abs(quad01(k.phi, k.breakpoints, tol=1e-10)) < 1e-8

@@ -276,7 +276,7 @@ def empirical_measures(
     if rows.shape[0] < MIN_BATCH:
         raise BatchTooSmall(f"need at least {MIN_BATCH} rows, got {rows.shape[0]}")
     n, d = rows.shape
-    rep = MeasureReport(n=n, seed=batch.seed, d=d, copula_id=batch.copula_id)
+    rep = MeasureReport(n=n, seed=batch.seed, d=d)
 
     if copula is not None:
         if d == 2:

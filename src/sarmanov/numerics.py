@@ -20,7 +20,6 @@ TABLE_BITS = 12  # invert_cdf tabulates F on 2^12 + 1 points
 XTOL_BITS = 44  # and returns hi of a bracket 2^-44 wide, below the 1e-12 target
 FLAT_BITS = 8  # cells where F rises by less than 2^-8 of their width are bisected
 ILLINOIS_STEPS = 8  # regula falsi steps before bisection takes over
-COMPACT_AFTER = 3  # steps before closed rows are looked for
 CHUNK_ROWS = 1 << 13  # rows refined at a time, which bounds the temporaries
 INVERSE_BITS = 13  # invert_cdf's guesses interpolate F^-1 at 2^13 + 1 uniform levels
 GUESS_POINTS = 6  # nodes each guess interpolates
@@ -282,8 +281,6 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
     out = np.minimum(j * h, 1.0)
     kinds = kind[j]
     rows, flat = np.flatnonzero(kinds == 2), np.flatnonzero(kinds == 1)
-    if not rows.size:
-        return out, flat
     qa, ja = q[rows], j[rows]
     # row r's bracket is ends[:, r] = (lo, hi) with vals[:, r] = (F - q there)
     # = (a, b), a < 0 <= b; a step writes x and F(x) - q into one slot per row
@@ -291,23 +288,17 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
     vals = np.stack((table[ja - 1] - qa, table[ja] - qa))
     above = None
     for step in range(ILLINOIS_STEPS):
-        if step >= COMPACT_AFTER:
-            open_ = ends[1] - ends[0] > xtol
-            n_open = np.count_nonzero(open_)
-            if n_open == 0:
-                break
-            if 2 * n_open < open_.size:  # drop closed rows once they are the majority
-                out[rows] = ends[1]
-                rows, qa, above = rows[open_], qa[open_], above[open_]
-                ends, vals = (np.ascontiguousarray(v[:, open_]) for v in (ends, vals))
         lo, hi = ends
+        closed = hi - lo <= xtol
+        if closed.all():  # also a chunk with no steep row
+            break
         a, b = vals
         x = hi - b * ((hi - lo) / (b - a))
         # half the tolerance off both ends, so that an estimate next to the
         # root closes the bracket; 0/0 (a and b both 0) goes to lo
         np.fmin(np.fmax(x, lo + 0.5 * xtol, out=x), hi - 0.5 * xtol, out=x)
         # a closed row steps onto its lo (F < q there), so its bracket stays put
-        np.copyto(x, lo, where=hi - lo <= xtol)
+        np.copyto(x, lo, where=closed)
         g = np.asarray(F(x), dtype=float) - qa
         was_above, above = above, g >= 0
         if step:  # Illinois: halve F - q at an end kept twice in a row (halving
@@ -320,11 +311,9 @@ def _illinois(F: Callable, table: np.ndarray, kind: np.ndarray, q: np.ndarray, j
     return out, np.concatenate((flat, rows[ends[1] - ends[0] > xtol]))
 
 
-def sign_changes(f: Callable, breakpoints: Sequence[float] = ()) -> bool:
+def sign_changes(f: Callable) -> bool:
     """True iff f takes both signs on (0, 1), ignoring |f| <= 1e-12 dust."""
-    xs = np.linspace(0.0, 1.0, 20_001)
-    xs = np.union1d(xs, [b for b in breakpoints if 0.0 < b < 1.0])
-    vals = np.asarray(f(xs), dtype=float)
+    vals = np.asarray(f(np.linspace(0.0, 1.0, 20_001)), dtype=float)
     return bool(np.any(vals > 1e-12) and np.any(vals < -1e-12))
 
 

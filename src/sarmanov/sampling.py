@@ -31,7 +31,6 @@ SAMPLER_VERSION = 6
 class SampleBatch:
     rows: np.ndarray  # (n, d), each coordinate in [0, 1]
     seed: int
-    copula_id: str = ""
 
     @property
     def n(self) -> int:
@@ -42,7 +41,7 @@ class SampleBatch:
         return int(self.rows.shape[1])
 
 
-def sample(copula: SarmanovCopula, n: int, seed: int, copula_id: str = "") -> SampleBatch:
+def sample(copula: SarmanovCopula, n: int, seed: int) -> SampleBatch:
     """n exact draws; bit-identical for identical (copula, n, seed)."""
     n = int(n)
     idx = sample_indices(copula.bern, n, seed)  # refuses inadmissible laws
@@ -56,10 +55,10 @@ def sample(copula: SarmanovCopula, n: int, seed: int, copula_id: str = "") -> Sa
                 out[picked] = component_quantile(pair, which, q[picked])
         rows[:, m] = out
         del on, picked, out  # freed before the next margin's uniforms are drawn: lower peak RSS
-    return SampleBatch(rows=rows, seed=int(seed), copula_id=copula_id)
+    return SampleBatch(rows=rows, seed=int(seed))
 
 
-def sample_powered(powered: PoweredCopula, n: int, seed: int, copula_id: str = "") -> SampleBatch:
+def sample_powered(powered: PoweredCopula, n: int, seed: int) -> SampleBatch:
     """Block-maxima sampler: r auxiliary draws per row, maxima to the r-th
     power. With r = 1 this reduces to the plain sampler, same seed protocol."""
     n, r = int(n), powered.r
@@ -68,5 +67,4 @@ def sample_powered(powered: PoweredCopula, n: int, seed: int, copula_id: str = "
     top = blocks[:, 0].copy()
     for k in range(1, r):  # r slices, not a length-r inner loop per element
         np.maximum(top, blocks[:, k], out=top)
-    rows = top ** r
-    return SampleBatch(rows=rows, seed=int(seed), copula_id=copula_id)
+    return SampleBatch(rows=top ** r, seed=int(seed))

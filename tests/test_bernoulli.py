@@ -139,6 +139,18 @@ class TestMixedMoments:
             vals = {mixed_moment(spec, S) for S in subsets}
             assert len(vals) == 1
 
+    def test_exchangeable_margin_is_the_exact_mean_rounded_once(self):
+        # pi = sum_j j w_j / d in rationals, rounded once: the margin that
+        # mix, theta_k_exact and the floor test use
+        rng = np.random.default_rng(19)
+        for d in range(2, 41):
+            for _ in range(10):
+                w = rng.random(d + 1) * (rng.random(d + 1) < 0.7)
+                w[rng.integers(1, d)] += 0.1  # a margin inside (0, 1)
+                spec = ExchangeableSumSpec(w / w.sum())
+                exact = sum(j * Fraction(x) for j, x in enumerate(spec.w)) / d
+                assert np.all(spec.pi == float(exact))
+
     def test_full_pmf_matches_enumeration(self):
         rng = np.random.default_rng(11)
         pmf = rng.random(16)

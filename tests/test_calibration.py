@@ -393,6 +393,25 @@ class TestNumericInversion:
         np.testing.assert_array_equal(rest, np.arange(q.size))
         assert calls == []
 
+    def test_illinois_stops_once_every_row_closes(self):
+        # on F(u) = u the first secant step lands on q and the second closes
+        # every bracket onto it, so the loop ends after two evaluations of F
+        calls = []
+
+        def F(u):
+            calls.append(np.size(u))
+            return np.asarray(u, dtype=float)
+
+        cells = 1 << TABLE_BITS
+        table = F(np.linspace(0.0, 1.0, cells + 1))
+        kind = np.zeros(cells + 2, dtype=np.int8)
+        kind[1:-1] = 1 + (np.diff(table) >= 2.0 ** -(TABLE_BITS + FLAT_BITS))
+        q = np.random.default_rng(11).random(500)
+        calls.clear()
+        u, rest = numerics._illinois(F, table, kind, q, bracket_search(table)(q))
+        np.testing.assert_array_equal(u, q)
+        assert rest.size == 0 and calls == [q.size, q.size]
+
     @pytest.mark.parametrize("name", ["sin", "norm_lee", "hkii"])
     def test_search_route_depends_on_F_and_q_alone(self, name):
         # a row's value must not depend on the other rows of its call or on

@@ -324,8 +324,7 @@ class TestSample:
         flat[:k] = EDGE_VALUES[:k]
         flat[-k:] = EDGE_VALUES[:k]  # also in the last block
         rows = flat.reshape(n, d)
-        monkeypatch.setattr(cli, "sample", lambda model, n_, seed, copula_id="":
-                            SampleBatch(rows=rows, seed=seed, copula_id=copula_id))
+        monkeypatch.setattr(cli, "sample", lambda model, n_, seed: SampleBatch(rows=rows, seed=seed))
         # the per-value f-string writer that block formatting replaced
         header = ",".join(f"u{m + 1}" for m in range(d))
         body = "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
@@ -420,6 +419,14 @@ class TestMeasure:
         assert payload["analytic"]["rho_s"] == pytest.approx(1 / 3)
         assert abs(payload["z"]["rho_s"]) < 5
         assert payload["n"] == 20000
+
+    def test_copula_id_is_the_sidecar_config_hash(self, fgm_config, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["sample", "--config", str(fgm_config), "--n", "1000", "--out", str(out)]) == 0
+        assert main(["measure", "--config", str(fgm_config), "--n", "1000"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+        assert report["copula_id"] == meta["config_hash"]
 
     def test_csv_comparison_table(self, fgm_config, capsys):
         assert main(["measure", "--config", str(fgm_config), "--n", "5000",
@@ -718,6 +725,31 @@ class TestConfigRules:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flags[0]} must be an integer >= ")
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "-3"])
+    def test_certify_grid_below_one_is_usage_error(self, fgm_config, capsys, grid):
+        assert main(["certify", "--config", str(fgm_config), "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid must be an integer >= 1")
+
+    def test_certify_lattice_cap_is_checked_before_any_array(self, tmp_path, capsys):
+        import tracemalloc
+
+        # d = 6 at the default grid 20 is 85.8M lattice points
+        cfg = tmp_path / "d6.json"
+        cfg.write_text(json.dumps({"schema": "sarmanov-config/1", "d": 6,
+                                   "margins": [{"kernel": {"id": "fgm"}}] * 6,
+                                   "bernoulli": {"variant": "named", "name": "independent"}}))
+        tracemalloc.start()
+        try:
+            code = main(["certify", "--config", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "lattice" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_measure_bit_exact_reproducible(self, fgm_config, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

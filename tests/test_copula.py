@@ -1,5 +1,6 @@
 """Copula assembly: intervals, cdf routes, oracle, conversions, powers."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -512,6 +513,23 @@ class TestOracle:
         assert vals == sorted(vals)
         assert len(rep.worst_cells) == 100
 
+    @pytest.mark.parametrize("grid_n", [0, -3])
+    def test_grid_below_one_refused(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n >= 1"):
+            d_increasing_oracle(lambda P: P.prod(axis=1), 2, grid_n)
+
+    def test_lattice_cap_refuses_before_evaluating(self, monkeypatch):
+        def never(P):
+            raise AssertionError("the cdf of a refused lattice was evaluated")
+        monkeypatch.setattr(copula, "ORACLE_POINTS", 5 ** 3)
+        assert d_increasing_oracle(lambda P: P.prod(axis=1), 3, 4).passed  # 125 points: at the cap
+        for d, grid_n in ((3, 5), (4, 4), (2, 11)):
+            with pytest.raises(DimensionTooLarge, match="lattice"):
+                d_increasing_oracle(never, d, grid_n)
+
+    def test_default_cap_keeps_d5_at_grid_20(self):
+        assert 21 ** 5 <= copula.ORACLE_POINTS < 21 ** 6
+
 
 class TestFarlieConversion:
     def test_fgm_from_multiplicative_form(self):
@@ -547,6 +565,22 @@ class TestTransformedKernels:
         assert t.id == "bkb" and t.params == {"p": 2, "q": 2}
         t = transform_kernel(kernel("bkb", p=2, q=2), 2)
         assert t.params == {"p": 4, "q": 2}
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name, params, row", [
+        ("fgm", {}, lambda r: ("hki", {"p": r})),  # fgm is hki(1)
+        ("hki", {"p": 2.5}, lambda r: ("hki", {"p": 2.5 * r})),
+        ("hkii", {"q": 3}, lambda r: ("bkb", {"p": r, "q": 3})),  # hkii(q) is bkb(1, q)
+        ("bkb", {"p": 0.5, "q": 2.5}, lambda r: ("bkb", {"p": 0.5 * r, "q": 2.5})),
+    ])
+    def test_closed_family_transform_is_its_catalog_row(self, name, params, row, r):
+        t, ref = transform_kernel(kernel(name, **params), r), catalog_lookup(*row(r))
+        for f in dataclasses.fields(Kernel):
+            if f.name not in ("g", "phi"):
+                assert getattr(t, f.name) == getattr(ref, f.name), f.name
+        x = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_array_equal(t.g(x), ref.g(x))
+        np.testing.assert_array_equal(t.phi(x), ref.phi(x))
 
     def test_r1_is_identity(self):
         k = kernel("sin")

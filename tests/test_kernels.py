@@ -1,5 +1,6 @@
 """Catalog fidelity and custom-kernel construction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -70,7 +71,7 @@ class TestCatalogFidelity:
         # the shifted-Legendre kernel flips at 1/2; all others keep one sign
         changing = {
             name for name in CATALOG_IDS
-            if sign_changes(default_kernel(name).g, default_kernel(name).breakpoints)
+            if sign_changes(default_kernel(name).g)
         }
         assert changing == {"norm_lee", "legendre2"}
         for name in CATALOG_IDS:
@@ -238,6 +239,12 @@ class TestCustomKernel:
         k = custom_kernel(lambda u: np.zeros_like(np.asarray(u, float)))
         assert k.degenerate
         assert k.kappa == 0.0
+        # the flag is read off the slope bounds, so the two cannot disagree
+        assert k.slope_sup() == 0.0
+        validate_kernel(k)
+        assert not catalog_lookup("fgm").degenerate
+        with pytest.raises(TypeError):
+            dataclasses.replace(catalog_lookup("fgm"), degenerate=True)
 
     def test_unanchored_rejected(self):
         with pytest.raises(NotAnchored):
