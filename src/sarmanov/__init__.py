@@ -51,7 +51,6 @@ from .kernels import (
     catalog_lookup,
     custom_kernel,
     kernel_area,
-    numeric_slope_bounds,
 )
 from .measures import (
     MeasureReport,
@@ -109,7 +108,6 @@ __all__ = [
     "make_bivariate",
     "mixed_moment",
     "normalized_kernel",
-    "numeric_slope_bounds",
     "orthant_rho",
     "orthant_rho_exact",
     "palindromic_check",

@@ -59,9 +59,12 @@ PI_FLOOR = 2.0 ** -52  # margins need min(pi, 1 - pi) >= PI_FLOOR
 MARGINS_OUTSIDE = "all margins must lie in [2^-52, 1 - 2^-52], got pi = {}"
 
 
-def state_bitstring(s: int, d: int) -> str:
-    """Render state ``s`` with margin 1 leftmost, e.g. 5 -> '101' for d=3."""
-    return "".join(str((s >> m) & 1) for m in range(d))
+def state_bitstrings(states: np.ndarray, d: int) -> list[str]:
+    """Render each state with margin 1 leftmost, e.g. 5 -> '101' for d=3."""
+    digits = np.empty((states.size, d), dtype=np.uint8)  # one ASCII digit per margin
+    for m in range(d):
+        digits[:, m] = (states >> m) & 1
+    return (digits + ord("0")).view(f"S{d}").ravel().astype(str).tolist()
 
 
 def theta_range_bivariate(pi1: float, pi2: float) -> tuple[float, float]:
@@ -272,10 +275,7 @@ class FullPmfSpec(BernoulliSpec):
 
     def admissibility_check(self) -> AdmissibilityCertificate:
         bad = _violations(self._pmf)
-        # state_bitstring for all states at once: one ASCII digit per margin
-        digits = (((bad[:, None] >> np.arange(self.d)) & 1) + ord("0")).astype(np.uint8)
-        bits = digits.view(f"S{self.d}").ravel().astype(str)
-        return self._certificate(list(zip(bits.tolist(), self._pmf[bad].tolist())))
+        return self._certificate(list(zip(state_bitstrings(bad, self.d), self._pmf[bad].tolist())))
 
     def _sample(self, n, rng):
         states = _draw_categorical(self._pmf, n, rng)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateKernel, NotCalibrated, NotMonotone
-from .kernels import Kernel
+from .kernels import Kernel, custom_kernel
 from .numerics import bisect_cdf  # noqa: F401  (perfbench reads calibration.bisect_cdf)
-from .numerics import invert_cdf, sign_changes, tabulated_slope
+from .numerics import invert_cdf
 
 CALIBRATION_TOL = 1e-8
 MONOTONE_TOL = 1e-12
@@ -87,13 +87,13 @@ def calibrate_from_kernel(k: Kernel) -> CalibratedPair:
     """Calibrated pair induced by a kernel's slope bounds.
 
     Raises DegenerateKernel for the zero kernel (no mixture exists; the
-    margin is plain uniform and the copula factorizes).
+    margin is plain uniform and the copula factorizes) and for any kernel
+    whose slope bounds are not finite and of opposite signs.
     """
-    if k.degenerate:
-        raise DegenerateKernel("zero kernel induces no calibrated pair; margin is independent")
     Lambda, lam = k.Lambda, k.lam
     if not (math.isfinite(Lambda) and math.isfinite(lam)) or not (lam < 0 < Lambda):
-        raise DegenerateKernel(f"kernel {k.id} has unusable slope bounds ({Lambda}, {lam})")
+        raise DegenerateKernel(f"kernel {k.id} has unusable slope bounds ({Lambda}, {lam}); the "
+                               "zero kernel induces no calibrated pair, its margin is independent")
     # the exact ratio rounded once when both bounds are rational
     pi = float(k.constant("Lambda") / (k.constant("Lambda") - k.constant("lam")))
 
@@ -121,16 +121,20 @@ def explicit_pair(F0: Callable, F1: Callable, pi: float) -> CalibratedPair:
     """Accept a user-supplied pair after verifying calibration and monotonicity.
 
     The calibration identity is checked on a 1001-point grid to 1e-8;
-    monotonicity and the boundary values F(0)=0, F(1)=1 are checked on the
-    same grid. The induced kernel's slope bounds
-    come from second-order differences on a 20001-point grid and its area
-    from the trapezoid rule on that grid.
+    finiteness, monotonicity and the boundary values F(0)=0, F(1)=1 are
+    checked on the same grid. The induced kernel g_hat = pi * (F1 - F0) is
+    tabulated on 20001 points and handed to ``custom_kernel``, which refuses
+    it when it is NaN or infinite there or misses 0 at an end by more than
+    ANCHOR_TOL, and gives its slope bounds (second-order differences), area
+    (trapezoid over the grid points) and sign.
     """
     if not (0.0 < pi < 1.0):
         raise NotCalibrated(f"pi must lie in (0,1), got {pi}")
     v0 = np.asarray(F0(_GRID), dtype=float)
     v1 = np.asarray(F1(_GRID), dtype=float)
     for name, v in (("F0", v0), ("F1", v1)):
+        if not np.all(np.isfinite(v)):
+            raise NotMonotone(f"{name} is NaN or infinite on the verification grid")
         if abs(v[0]) > 1e-9 or abs(v[-1] - 1.0) > 1e-9:
             raise NotMonotone(f"{name} must run from 0 at u=0 to 1 at u=1")
         if np.any(np.diff(v) < -MONOTONE_TOL):
@@ -144,24 +148,8 @@ def explicit_pair(F0: Callable, F1: Callable, pi: float) -> CalibratedPair:
     def g_hat(u, F0=F0, F1=F1, pi=pi):
         return pi * (np.asarray(F1(u), dtype=float) - np.asarray(F0(u), dtype=float))
 
-    gv = g_hat(_GRID)
-    if np.max(np.abs(gv)) < 1e-12:
-        induced = Kernel("induced:zero", {}, g=g_hat,
-                         phi=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                         Lambda=math.inf, lam=-math.inf, kappa=0.0,
-                         sign_constant=True)
-    else:
-        dense = np.linspace(0.0, 1.0, 20_001)
-        gv_dense = np.asarray(g_hat(dense), dtype=float)
-        phi_hat, sup, inf = tabulated_slope(gv_dense)
-        induced = Kernel(
-            "induced:explicit", {}, g=g_hat, phi=phi_hat,
-            Lambda=1.0 / sup, lam=1.0 / inf,
-            # trapezoid: explicit pairs are typically tabulated, with kinks
-            # that defeat adaptive panels; 2e4 points beat the 1e-8 data tolerance
-            kappa=float(np.trapezoid(gv_dense, dense)),
-            sign_constant=not sign_changes(g_hat),
-        )
+    tabulated = custom_kernel(g_hat(np.linspace(0.0, 1.0, 20_001)))
+    induced = replace(tabulated, id="induced:explicit", g=g_hat)
     return CalibratedPair(pi=pi, F0=F0, F1=F1, induced=induced)
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, measures
-from .bernoulli import state_bitstring, theta_range_bivariate
+from .bernoulli import state_bitstrings, theta_range_bivariate
 from .config import SCHEMA, CopulaConfig
 from .copula import (
     PoweredCopula,
@@ -209,7 +209,8 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
 
 def _pmf_rows(model) -> list[tuple[str, float]]:
     """(state bitstring, probability) over {0,1}^d of an unpowered law."""
-    return [(state_bitstring(s, model.d), p) for s, p in enumerate(model.bern.pmf_table().tolist())]
+    pmf = model.bern.pmf_table()
+    return list(zip(state_bitstrings(np.arange(pmf.size), model.d), pmf.tolist()))
 
 
 def cmd_validate(args) -> int:

@@ -72,9 +72,8 @@ class SarmanovCopula:
             raise ValueError("number of margins must match the Bernoulli dimension")
         pair_pi = np.array([p.pi for p in self.margins])
         if np.max(np.abs(pair_pi - self.bern.pi)) > 1e-9:
-            raise ValueError(
-                f"margin pis {pair_pi} disagree with Bernoulli margins {self.bern.pi}"
-            )
+            raise ValueError(f"margin pis {pair_pi.tolist()} disagree with "
+                             f"Bernoulli margins {self.bern.pi.tolist()}")
 
     @property
     def d(self) -> int:

@@ -30,7 +30,7 @@ class UnboundedDerivative(SarmanovError, ValueError):
 
 
 class DegenerateKernel(SarmanovError, ValueError):
-    """Kernel is identically zero; no mixture representation exists."""
+    """Kernel is zero, not finite, or has one-signed slopes; no mixture exists."""
 
 
 class NoDerivative(SarmanovError, ValueError):

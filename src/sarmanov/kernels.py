@@ -404,55 +404,43 @@ def kernel_area(k: Kernel) -> float:
     return quad01(k.g, k.breakpoints)
 
 
-def numeric_slope_bounds(k: Kernel) -> tuple[float, float]:
-    """Re-derive (Lambda, lam) by extremization of phi on SLOPE_GRID points.
-
-    Independent of the stored analytic values; used to cross-check every
-    catalog row.
-    """
-    if k.phi is not None:
-        sup, inf = scan_extrema(k.phi)
-    else:
-        _, sup, inf = tabulated_slope(k.g(np.linspace(0.0, 1.0, SLOPE_GRID)))
-    if sup <= 0 or inf >= 0:
-        raise DegenerateKernel(f"kernel {k.id} has one-signed derivative")
-    return 1.0 / sup, 1.0 / inf
-
-
 def custom_kernel(
     g: Callable | Sequence[float] | np.ndarray,
     phi: Callable | None = None,
 ) -> Kernel:
     """Kernel from a user-supplied map: a callable on [0, 1] or values
-    tabulated on a uniform grid.
+    tabulated on a uniform grid. This is the one estimator of slope bounds,
+    area and sign; an explicit pair's induced kernel is built here too.
 
     Slope bounds come from extremization of ``phi`` on SLOPE_GRID points
     (with golden-section refinement) when it is given, otherwise from second-order
-    differences of g tabulated on the grid; kappa from adaptive quadrature
-    (trapezoid for tabulated input). The zero kernel is allowed and flagged
-    degenerate.
+    differences of g tabulated on the grid; kappa from adaptive quadrature,
+    or the trapezoid rule over the grid points for tabulated input. The zero
+    kernel is allowed and flagged degenerate.
 
-    Raises NotAnchored when g(0) or g(1) is nonzero beyond 1e-9, and
-    UnboundedDerivative when difference-quotient extremes keep growing
-    under grid refinement.
+    Raises NotAnchored when g(0) or g(1) is nonzero beyond 1e-9;
+    DegenerateKernel when g is NaN or infinite on its grid (the table, or
+    4001 points of a callable) or the slope extremes are not finite and of
+    both signs; and UnboundedDerivative when difference-quotient extremes
+    keep growing under grid refinement.
     """
     if callable(g):
-        g_fn = g
-        tabulated = None
+        g_fn, tabulated = g, None
+        seen = np.asarray(g_fn(np.linspace(0.0, 1.0, 4001)), dtype=float)
     else:
-        vals = np.asarray(g, dtype=float)
-        if vals.ndim != 1 or vals.size < 3:
+        seen = tabulated = np.asarray(g, dtype=float)
+        if tabulated.ndim != 1 or tabulated.size < 3:
             raise ValueError("tabulated kernel needs a 1-d array of >= 3 values")
-        xs = np.linspace(0.0, 1.0, vals.size)
-        g_fn = lambda u, xs=xs, vals=vals: np.interp(u, xs, vals)  # noqa: E731
-        tabulated = vals
+        xs = np.linspace(0.0, 1.0, tabulated.size)
+        g_fn = lambda u, xs=xs, vals=tabulated: np.interp(u, xs, vals)  # noqa: E731
 
+    if not np.all(np.isfinite(seen)):
+        raise DegenerateKernel(f"kernel values must be finite; g is NaN or infinite at "
+                               f"{np.count_nonzero(~np.isfinite(seen))} of {seen.size} grid points")
     g0, g1 = float(g_fn(0.0)), float(g_fn(1.0))
     if abs(g0) > ANCHOR_TOL or abs(g1) > ANCHOR_TOL:
         raise NotAnchored(f"kernel boundary values g(0)={g0:.3g}, g(1)={g1:.3g} must vanish")
-
-    probe = np.asarray(g_fn(np.linspace(0.0, 1.0, 4001)), dtype=float)
-    if np.max(np.abs(probe)) < DEGENERATE_TOL:
+    if np.max(np.abs(seen)) < DEGENERATE_TOL:
         return Kernel(
             "custom", {}, g=g_fn, phi=(phi or (lambda u: np.zeros_like(np.asarray(u, dtype=float)))),
             Lambda=math.inf, lam=-math.inf, kappa=0, sign_constant=True,
@@ -466,13 +454,12 @@ def custom_kernel(
         _check_bounded_derivative(g_fn)
         phi, sup, inf = tabulated_slope(g_fn(np.linspace(0.0, 1.0, SLOPE_GRID)))
 
-    if sup <= 0 or inf >= 0:
-        raise DegenerateKernel("derivative does not take both signs; g cannot anchor at 0 and 1")
+    if not (0.0 < sup < math.inf and -math.inf < inf < 0.0):
+        raise DegenerateKernel(f"derivative extremes ({sup:.3g}, {inf:.3g}) must be finite and "
+                               "of both signs for g to anchor at 0 and 1")
 
-    if tabulated is None:
-        kappa = quad01(g_fn)
-    else:
-        kappa = float(np.trapezoid(tabulated, dx=1.0 / (tabulated.size - 1)))
+    # trapezoid for tables: they often have kinks that defeat adaptive panels
+    kappa = quad01(g_fn) if tabulated is None else float(np.trapezoid(tabulated, xs))
     return Kernel(
         "custom", {}, g=g_fn, phi=phi,
         Lambda=1.0 / sup, lam=1.0 / inf, kappa=kappa,

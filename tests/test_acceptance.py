@@ -24,8 +24,8 @@ from sarmanov.kernels import (
     CATALOG_IDS,
     DEFAULT_PARAMS,
     catalog_lookup,
+    custom_kernel,
     kernel_area,
-    numeric_slope_bounds,
 )
 from sarmanov.measures import (
     empirical_measures,
@@ -59,9 +59,9 @@ def test_criterion_01_catalog_fidelity():
     for name in CATALOG_IDS:
         k = default_kernel(name)
         assert kernel_area(k) == pytest.approx(k.kappa, abs=1e-10), name
-        L, lam = numeric_slope_bounds(k)
-        assert L == pytest.approx(k.Lambda, rel=1e-6), name
-        assert lam == pytest.approx(k.lam, rel=1e-6), name
+        est = custom_kernel(k.g, phi=k.phi)
+        assert est.Lambda == pytest.approx(k.Lambda, rel=1e-6), name
+        assert est.lam == pytest.approx(k.lam, rel=1e-6), name
         for exact, flt in ((k.Lambda_exact, k.Lambda), (k.lam_exact, k.lam),
                            (k.kappa_exact, k.kappa)):
             if exact is not None:

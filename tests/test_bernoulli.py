@@ -24,6 +24,7 @@ from sarmanov.bernoulli import (
     mixed_moment,
     palindromic_check,
     sample_indices,
+    state_bitstrings,
     theta_range_bivariate,
 )
 from sarmanov.errors import (
@@ -201,6 +202,13 @@ class TestAdmissibility:
         cert = admissibility_check(FullPmfSpec([0.25, 0.51, -0.01, 0.25]))
         assert not cert.passed
         assert cert.violations == [("01", pytest.approx(-0.01))]
+
+    def test_state_bitstrings_put_margin_one_leftmost(self):
+        assert state_bitstrings(np.array([5, 0, 6]), 3) == ["101", "000", "011"]
+        assert state_bitstrings(np.array([], dtype=int), 4) == []
+        states = np.array([0, 1, 2 ** 19, 2 ** 20 - 1])
+        assert state_bitstrings(states, 20) == [
+            "".join(str((s >> m) & 1) for m in range(20)) for s in states.tolist()]
 
     def test_dust_is_clamped(self):
         spec = FullPmfSpec([0.3, 0.3, -1e-13, 0.4 + 1e-13])

@@ -17,7 +17,7 @@ from sarmanov.calibration import (
     reflection_check,
 )
 from sarmanov.copula import transform_kernel
-from sarmanov.errors import DegenerateKernel, NotCalibrated, NotMonotone
+from sarmanov.errors import DegenerateKernel, NotAnchored, NotCalibrated, NotMonotone
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, custom_kernel
 from sarmanov.numerics import (
     CHUNK_ROWS,
@@ -154,6 +154,28 @@ class TestExplicitPair:
         ident = lambda u: np.asarray(u, dtype=float)  # noqa: E731
         with pytest.raises(NotCalibrated):
             explicit_pair(ident, ident, pi=1.5)
+
+    def test_induced_kernel_missing_zero_at_an_end_is_refused(self):
+        # each component is within 1e-9 of its end value and the mixture is
+        # calibrated, but g_hat(0) = 0.9 * 2e-9 = 1.8e-9 exceeds ANCHOR_TOL
+        def at_zero(value, f):
+            return lambda u: np.where(np.asarray(u, float) == 0.0, value, f(np.asarray(u, float)))
+
+        F0 = at_zero(-1e-9, lambda u: u ** 2)
+        F1 = at_zero(1e-9, lambda u: (u - 0.1 * u ** 2) / 0.9)
+        with pytest.raises(NotAnchored, match="g\\(0\\)=1.8e-09"):
+            explicit_pair(F0, F1, pi=0.9)
+
+    @pytest.mark.parametrize("centre, width, error", [
+        (0.5, 1e-3, NotMonotone),  # on the 1001-point verification grid
+        (0.50025, 1e-5, DegenerateKernel),  # only on the 20001-point kernel grid
+    ])
+    def test_non_finite_component_is_refused(self, centre, width, error):
+        F0 = lambda u: np.where(np.abs(np.asarray(u, float) - centre) < width,  # noqa: E731
+                                np.nan, np.asarray(u, float) ** 2)
+        F1 = lambda u: 2 * np.asarray(u, float) - np.asarray(u, float) ** 2  # noqa: E731
+        with pytest.raises(error, match="NaN or infinite"):
+            explicit_pair(F0, F1, pi=0.5)
 
 
 class TestReflection:

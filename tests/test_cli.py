@@ -598,6 +598,34 @@ class TestConfigRules:
         }))
         assert main(["sample", "--config", str(cfg)]) == 2
 
+    def test_explicit_pair_missing_zero_at_an_end_is_a_usage_error(self, tmp_path, capsys):
+        # both tables are within 1e-9 of 0 at u = 0 and calibrated at pi = 0.9,
+        # but the induced kernel's g(0) = 1.8e-9 is beyond ANCHOR_TOL
+        u = np.linspace(0, 1, 257)
+        F0, F1 = u ** 2, (u - 0.1 * u ** 2) / 0.9
+        F0[0], F1[0] = -1e-9, 1e-9
+        cfg = tmp_path / "edge.json"
+        cfg.write_text(json.dumps({"schema": "sarmanov-config/1", "d": 2, "theta": 0.1, "margins": [
+            {"pair": {"pi": 0.9, "u": u.tolist(), "F0": F0.tolist(), "F1": F1.tolist()}},
+            {"kernel": {"id": "fgm"}},
+        ]}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "g(0)=1.8e-09" in capsys.readouterr().err
+
+    def test_margin_pi_mismatch_shows_the_numbers_that_differ(self, tmp_path, capsys):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({
+            "schema": "sarmanov-config/1", "d": 3, "margins": [{"kernel": {"id": "fgm"}}] * 3,
+            "bernoulli": {"variant": "exchangeable_sum",
+                          "w": [0.25 - 3e-9, 0.25, 0.25, 0.25 + 3e-9]},
+        }))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        margins, bern = (json.loads(part[part.index("["):part.index("]") + 1])
+                         for part in err.split(" disagree with "))
+        assert margins == [0.5] * 3 and bern[0] != 0.5
+
     def test_named_coupling_needs_half_margins(self, tmp_path):
         cfg = tmp_path / "epd_bad.json"
         cfg.write_text(json.dumps({

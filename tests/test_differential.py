@@ -11,6 +11,8 @@ exact mixture sum, on hki margins whose pi matches the law. The
 batched rank statistics of ``measures`` are checked against scipy, row by
 row, and ``empirical_measures`` against the per-section scipy loop it
 replaced. Exchangeable mixed moments must equal ``theta_k_exact`` bit for bit.
+An explicit pair built from each catalog row's kernel-built pair must
+estimate that pair's analytic slope bounds, area and sign.
 """
 
 import math
@@ -35,7 +37,7 @@ from sarmanov.bernoulli import (
 )
 from sarmanov.calibration import calibrate_from_kernel, explicit_pair
 from sarmanov.copula import SarmanovCopula, admissible_a_interval, d_increasing_oracle, make_bivariate
-from sarmanov.kernels import DEFAULT_PARAMS, catalog_lookup
+from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup
 from sarmanov.measures import (
     SE_GROUPS,
     _kendall_rows,
@@ -332,3 +334,18 @@ def test_empirical_measures_equal_sectioned_scipy_loop(kernel, n):
     for key, (est, se) in ref.items():
         assert rep.empirical[key] == pytest.approx(est, rel=1e-15, abs=0), key
         assert rep.se[key] == pytest.approx(se, rel=1e-15, abs=0), key
+
+
+@pytest.mark.parametrize("name", CATALOG_IDS)
+def test_explicit_pair_estimates_the_kernel_built_induced_kernel(name):
+    # the same F0, F1 and pi handed over as an explicit pair: the tabulated
+    # estimate must land on the analytic constants of Lambda * g. norm_lee's
+    # inf phi is its value at u = 0, where phi has an infinite slope and the
+    # one-sided end difference overshoots it by 1.5e-4; every other row is
+    # within 3e-8
+    pair = calibrate_from_kernel(catalog_lookup(name, DEFAULT_PARAMS.get(name, {})))
+    est, ref = explicit_pair(pair.F0, pair.F1, pair.pi).induced, pair.induced
+    assert est.Lambda == pytest.approx(ref.Lambda, rel=1e-7, abs=0)
+    assert est.lam == pytest.approx(ref.lam, rel=2e-4, abs=0)
+    assert est.kappa == pytest.approx(ref.kappa, rel=0, abs=1e-9)
+    assert est.sign_constant == ref.sign_constant

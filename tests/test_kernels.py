@@ -23,7 +23,6 @@ from sarmanov.kernels import (
     catalog_lookup,
     custom_kernel,
     kernel_area,
-    numeric_slope_bounds,
     sin_asym_slope_root,
     validate_kernel,
 )
@@ -48,9 +47,9 @@ class TestCatalogFidelity:
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_grid_extremization_reproduces_slope_bounds(self, name):
         k = default_kernel(name)
-        L, lam = numeric_slope_bounds(k)
-        assert L == pytest.approx(k.Lambda, rel=1e-6)
-        assert lam == pytest.approx(k.lam, rel=1e-6)
+        est = custom_kernel(k.g, phi=k.phi)
+        assert est.Lambda == pytest.approx(k.Lambda, rel=1e-6)
+        assert est.lam == pytest.approx(k.lam, rel=1e-6)
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_area_respects_slope_budget(self, name):
@@ -129,7 +128,7 @@ class TestFloatRange:
         # (1 + pq)^(q-1) is beyond the float range; lam itself is not
         k = catalog_lookup("bkb", {"p": p, "q": q})
         assert k.lam == float(k.lam_exact)
-        assert numeric_slope_bounds(k)[1] == pytest.approx(k.lam, rel=1e-9)
+        assert custom_kernel(k.g, phi=k.phi).lam == pytest.approx(k.lam, rel=1e-9)
 
 
 class TestSpecificRows:
@@ -176,9 +175,9 @@ class TestSpecificRows:
             k = catalog_lookup("lee_power", {"k": kk})
             assert k.Lambda == pytest.approx((kk + 1) / kk, rel=1e-15)
             assert k.lam == pytest.approx(-(kk + 1), rel=1e-15)
-            L, lam = numeric_slope_bounds(k)
-            assert L == pytest.approx(k.Lambda, rel=1e-9)
-            assert lam == pytest.approx(k.lam, rel=1e-9)
+            est = custom_kernel(k.g, phi=k.phi)
+            assert est.Lambda == pytest.approx(k.Lambda, rel=1e-9)
+            assert est.lam == pytest.approx(k.lam, rel=1e-9)
 
     def test_lai_xie_defaults(self):
         k = catalog_lookup("lai_xie", {"a": 2, "b": 2})
@@ -254,10 +253,18 @@ class TestCustomKernel:
         with pytest.raises(UnboundedDerivative):
             custom_kernel(lambda u: np.asarray(u, float) * np.sqrt(np.abs(1 - np.asarray(u, float))))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(DegenerateKernel, match="NaN or infinite at 1 of 5 grid points"):
+            custom_kernel([0.0, 0.1, bad, 0.1, 0.0])
+        u = np.linspace(0.0, 1.0, 4001)
+        with pytest.raises(DegenerateKernel, match="must be finite"):
+            custom_kernel(lambda x: np.where(np.asarray(x) == u[2000], bad, x * (1.0 - x)))
+
     def test_degenerate_has_no_slope_bounds(self):
         k = custom_kernel(lambda u: np.zeros_like(np.asarray(u, float)))
-        with pytest.raises(DegenerateKernel):
-            numeric_slope_bounds(k)
+        with pytest.raises(DegenerateKernel, match="zero kernel"):
+            calibrate_from_kernel(k)
 
 
 _PARAMETRIC = st.one_of(
