@@ -207,10 +207,10 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
     return payload, bool(cert.passed)
 
 
-def _pmf_rows(model) -> list[tuple[str, float]]:
-    """(state bitstring, probability) over {0,1}^d of an unpowered law."""
-    pmf = model.bern.pmf_table()
-    return list(zip(state_bitstrings(np.arange(pmf.size), model.d), pmf.tolist()))
+def _pmf_rows(pmf: np.ndarray, d: int, start: int = 0) -> list[tuple[str, float]]:
+    """(state bitstring, probability) of the entries of ``pmf``, a slice of
+    a law's table over {0,1}^d that begins at state ``start``."""
+    return list(zip(state_bitstrings(np.arange(start, start + pmf.size), d), pmf.tolist()))
 
 
 def cmd_validate(args) -> int:
@@ -218,14 +218,18 @@ def cmd_validate(args) -> int:
     model = cfg.build()
     payload, ok = _certificate_payload(cfg, model)
     if args.format == "csv":
-        # pmf table export: one row per latent state
+        # pmf table export: one row per latent state, CSV_BLOCK_ROWS states at a time
         if isinstance(model, PoweredCopula):
             raise ConfigError("csv pmf export applies to unpowered laws")
-        lines = ["state,probability"] + [f"{bits},{p:.17g}" for bits, p in _pmf_rows(model)]
-        _write("\n".join(lines) + "\n", args.out)
+        pmf = model.bern.pmf_table()
+        with _opened(args.out) as fh:
+            fh.write("state,probability\n")
+            for start in range(0, pmf.size, CSV_BLOCK_ROWS):
+                rows = _pmf_rows(pmf[start:start + CSV_BLOCK_ROWS], cfg.d, start)
+                fh.write("".join(f"{bits},{p:.17g}\n" for bits, p in rows))
     else:
         if not isinstance(model, PoweredCopula) and cfg.d <= 8:
-            payload["pmf"] = _pmf_rows(model)  # json writes each pair as an array
+            payload["pmf"] = _pmf_rows(model.bern.pmf_table(), cfg.d)  # json writes each pair as an array
         _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if ok else 1
 

@@ -18,8 +18,7 @@ alongside.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +32,9 @@ SE_GROUPS = 40  # disjoint sections used for standard errors
 
 
 def __getattr__(name):
-    # ``stats`` is scipy.stats, imported on first access: it is the slowest
-    # scipy module to load, and importing the package or sampling needs none
+    # ``stats`` is scipy.stats, imported on first access. Nothing in the
+    # package uses it: perfbench's tracer wraps it when it installs, and this
+    # goes when the tracer stops doing so
     if name == "stats":
         from scipy import stats
 
@@ -158,18 +158,14 @@ class MeasureReport:
     n: int
     seed: int
     d: int
+    copula_id: str = ""
     analytic: dict = field(default_factory=dict)
     empirical: dict = field(default_factory=dict)
     se: dict = field(default_factory=dict)
     z: dict = field(default_factory=dict)
-    copula_id: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "seed": self.seed, "d": self.d, "copula_id": self.copula_id,
-            "analytic": self.analytic, "empirical": self.empirical,
-            "se": self.se, "z": self.z,
-        }
+        return asdict(self)
 
 
 def _sectioned_se(values: np.ndarray, statistic) -> tuple:
@@ -205,7 +201,7 @@ def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spearman_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
-    """Spearman's rho per row of a batch (g, s, 2), as scipy.stats.spearmanr
+    """Spearman's rho per row of a batch (g, s, 2), as scipy's ``spearmanr``
     computes it: the Pearson correlation of average ranks, NaN for a constant
     column. The rank sums are exact below s = 2e5, and the divisions follow
     np.corrcoef, so the values agree with scipy's to the last bit there.
@@ -219,20 +215,23 @@ def _spearman_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
     return np.clip(rho, -1.0, 1.0)
 
 
-LEAF = 16  # the inversion count brute-forces blocks of this many elements
+LEAF = 16  # the inversion count brute-forces blocks of at most this many elements
 
 
 def _inversions(a: np.ndarray) -> np.ndarray:
     """Pairs i < j with a_i > a_j in each row of an integer array (g, s) with
-    values in [0, s): brute force within LEAF-element blocks, then a
-    bottom-up merge count over all rows at once."""
+    values in [0, s): brute force within blocks of leaf <= LEAF elements,
+    then a bottom-up merge count over all rows at once. Rows are padded to
+    leaf * 2^levels with the fewest levels that fit (20,480 places for
+    s = 20,000), not to a power of two."""
     g, s = a.shape
-    width = max(LEAF, 1 << (s - 1).bit_length())
-    pad = np.full((g, width - s), s, a.dtype)  # above every value: adds no pair
-    a = np.concatenate([a, pad], axis=1).reshape(g, -1, LEAF)
-    inv = ((a[..., :, None] > a[..., None, :]) & np.triu(np.ones((LEAF, LEAF), bool), 1)).sum(axis=(1, 2, 3))
-    a, span = np.sort(a, axis=-1), LEAF
-    while span < width:
+    levels = (-(-s // LEAF) - 1).bit_length()
+    leaf = -(-s >> levels)  # ceil(s / 2^levels)
+    pad = np.full((g, (leaf << levels) - s), s, a.dtype)  # above every value: adds no pair
+    a = np.concatenate([a, pad], axis=1).reshape(g, -1, leaf)
+    inv = ((a[..., :, None] > a[..., None, :]) & np.triu(np.ones((leaf, leaf), bool), 1)).sum(axis=(1, 2, 3))
+    a, span = np.sort(a, axis=-1), leaf
+    for _ in range(levels):
         a = a.reshape(g, -1, 2 * span)
         order = np.argsort(a, axis=-1, kind="stable")  # merges the sorted halves, left first among equals
         # the j-th right-half element, merged to position p, is below span - (p - j) left ones
@@ -243,9 +242,9 @@ def _inversions(a: np.ndarray) -> np.ndarray:
 
 
 def _kendall_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
-    """Kendall's tau-b per row of a batch (g, s, 2), with the tie counts and
-    formula of scipy.stats.kendalltau: NaN when a column is constant.
-    ``ranks`` as for ``_spearman_rows``."""
+    """Kendall's tau-b per row of a batch (g, s, 2), with scipy's tie counts
+    and formula: NaN when a column is constant. On one row it equals scipy's
+    bit for bit. ``ranks`` as for ``_spearman_rows``."""
     s = rows.shape[1]
     (x0, x1), (y0, y1) = ranks or map(_ranks, (rows[..., 0], rows[..., 1]))
     xtie, ytie = (x1 - x0).sum(-1) // 2, (y1 - y0).sum(-1) // 2  # tied pairs
@@ -263,9 +262,9 @@ def empirical_measures(
     copula: SarmanovCopula | None = None,
 ) -> MeasureReport:
     """Rank-based Spearman/Kendall estimates (d = 2) plus plug-in orthant
-    coefficients, each with sectioned standard errors. The SE_GROUPS
-    sections are evaluated in one batched pass, with ties handled as scipy
-    does (average ranks, tau-b).
+    coefficients, each with sectioned standard errors. The full sample and
+    the SE_GROUPS sections take the same batched rank statistics, with ties
+    handled as scipy does (average ranks, tau-b); no scipy module is loaded.
 
     Both orthant estimates are unbiased O(n) sample functionals:
     integral of Pi dC is the mean of prod(U_m), and integral of C du equals
@@ -290,11 +289,7 @@ def empirical_measures(
         rep.analytic["rho_plus"] = rho_p
 
     if d == 2:
-        stats = sys.modules[__name__].stats  # through the module, so a replaced attribute is honoured
-
         def rank_statistics(r):
-            if len(r) == 1:  # on one long row, scipy's Cython merge count is 3x faster than the batched one
-                return np.array([_spearman_rows(r), [stats.kendalltau(*r[0].T).statistic]])
             ranks = [_ranks(r[..., 0]), _ranks(r[..., 1])]  # one ranking of each column serves both
             return np.stack([_spearman_rows(r, ranks), _kendall_rows(r, ranks)])
 

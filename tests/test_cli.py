@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestValidate:
         table = dict(ln.split(",") for ln in lines[1:])
         assert float(table["00"]) == 0.5 and float(table["11"]) == 0.5
         assert float(table["10"]) == 0.0
+
+    def test_csv_pmf_export_holds_less_than_its_file(self, tmp_path):
+        # the rows are written CSV_BLOCK_ROWS states at a time, never all at once
+        cfg = self.law_config(tmp_path / "d18.json", 18, {"variant": "named", "name": "independent"})
+        out = tmp_path / "d18.csv"
+        tracemalloc.start()
+        try:
+            assert main(["validate", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes().count(b"\n") == 1 + (1 << 18)
+        assert peak < out.stat().st_size
 
     def test_d3_named_config(self, tmp_path, capsys):
         cfg = tmp_path / "tri.json"
@@ -477,6 +491,23 @@ class TestMeasure:
             assert main(["measure", "--config", str(cfg)]) == 0, name
             analytic = json.loads(capsys.readouterr().out)["analytic"]
             assert math.isfinite(analytic["rho_minus"]) and math.isfinite(analytic["rho_plus"])
+
+    def test_measure_imports_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path / "fgm_hki.json", a=0.5, n=20000, margins=[
+            {"kernel": {"id": "fgm"}}, {"kernel": {"id": "hki", "params": {"p": 2}}}])
+        argv = ["measure", "--config", str(cfg), "--out", str(tmp_path / "report")]
+        code = (
+            "import sys\n"
+            "import sarmanov.cli\n"
+            f"assert sarmanov.cli.main({argv!r} + ['--format', 'json']) == 0\n"
+            f"assert sarmanov.cli.main({argv!r} + ['--format', 'csv']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=src_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+        assert (tmp_path / "report").read_text().startswith("measure,analytic,empirical,se,z\n")
 
 
 class TestCertify:

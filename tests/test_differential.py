@@ -9,8 +9,9 @@ the sampling check compares state frequencies on fixed-seed laws. The
 lower-tail checks hold the exchangeable cdf to a relative bound against an
 exact mixture sum, on hki margins whose pi matches the law. The
 batched rank statistics of ``measures`` are checked against scipy, row by
-row, and ``empirical_measures`` against the per-section scipy loop it
-replaced. Exchangeable mixed moments must equal ``theta_k_exact`` bit for bit.
+row (the long single row of a full sample bit for bit), and
+``empirical_measures`` against the per-section scipy loop it replaced.
+Exchangeable mixed moments must equal ``theta_k_exact`` bit for bit.
 An explicit pair built from each catalog row's kernel-built pair must
 estimate that pair's analytic slope bounds, area and sign.
 """
@@ -309,6 +310,21 @@ def test_batched_rank_statistics_equal_scipy(rows):
         warnings.simplefilter("error")
         got = np.stack([_spearman_rows(rows), _kendall_rows(rows)], axis=1)
     np.testing.assert_allclose(got, np.array(ref), rtol=0, atol=1e-13)  # NaN where scipy's is
+
+
+@pytest.mark.parametrize("lean", [-0.6, 0.7])
+@pytest.mark.parametrize("decimals", [None, 1, 2, 3])
+@pytest.mark.parametrize("n", [17, 33, 1025, 1000, 20_011, 65_537, 200_000])
+def test_full_sample_kendall_equals_scipy_bit_for_bit(n, decimals, lean):
+    # the reported tau is one long row; lengths just above a block boundary
+    # take the smaller leaves of the padded merge count
+    rng = np.random.default_rng(n)
+    rows = rng.random((n, 2))
+    toward = rows[:, 0] if lean > 0 else 1 - rows[:, 0]
+    rows[:, 1] = (1 - abs(lean)) * rows[:, 1] + abs(lean) * toward
+    if decimals is not None:
+        rows = np.round(rows, decimals)  # ties in both columns and in pairs
+    assert _kendall_rows(rows[None])[0] == kendalltau(rows[:, 0], rows[:, 1]).statistic
 
 
 def sectioned_loop(values, statistic):
