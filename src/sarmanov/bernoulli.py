@@ -108,20 +108,23 @@ def _subset_key(S, d: int) -> tuple[int, ...]:
     return idx
 
 
-def _weights(values, what: str) -> np.ndarray:
+def _weights(values, what: str, states=None) -> np.ndarray:
     """Probabilities that must total 1, to 1e-12 of the entries' absolute
     mass plus PMF_CLAMP. Negative entries that sum to no less than -PMF_CLAMP
     are floating dust and set to 0, so a law totals up to 1 + PMF_CLAMP and
     its exported table must still load; with more negative mass than that
-    the law keeps every entry as given and fails its certificate."""
+    the law keeps every entry as given and fails its certificate. The sum is
+    that of the exported table, exact and rounded once: entry j stands for
+    ``states[j]`` table entries of fl(value_j / states[j]) each (one entry of
+    value_j by default), so a law and its reloaded table get one verdict."""
     raw = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(raw)):  # a NaN would pass the sum test below
         raise ValueError(f"{what} must be finite")
     if abs(float(raw.sum()) - 1.0) > 1e-12 * max(1.0, float(np.abs(raw).sum())) + PMF_CLAMP:
         raise ValueError(f"{what} sum to {float(raw.sum())!r}, not 1")
-    if float(np.minimum(raw, 0.0).sum()) >= -PMF_CLAMP:
-        return np.where(raw < 0.0, 0.0, raw)
-    return raw
+    states = [1] * raw.size if states is None else states
+    dust = sum(Fraction(float(raw[j] / states[j])) * states[j] for j in np.flatnonzero(raw < 0.0))
+    return np.where(raw < 0.0, 0.0, raw) if float(dust) >= -PMF_CLAMP else raw
 
 
 def _violations(weights: np.ndarray) -> np.ndarray:
@@ -162,6 +165,17 @@ def _factors(a, b, pis):
     return ((am - bm, am + bm * ((1 - p) / p)) for am, bm, p in zip(a, b, pis))
 
 
+def _state_products(factors, one):
+    """Row r holds prod_k (f0_k, f1_k)[bit k of r] over the (f0_k, f1_k) in
+    ``factors``: 2^len(factors) rows of ``one``'s shape and dtype."""
+    rows = np.empty((1 << len(factors),) + one.shape, one.dtype)
+    rows[0] = one
+    for k, (f0, f1) in enumerate(factors):
+        rows[1 << k:2 << k] = rows[:1 << k] * f1
+        rows[:1 << k] *= f0
+    return rows
+
+
 class BernoulliSpec:
     """Common behaviour; concrete laws implement the hooks below."""
 
@@ -195,12 +209,18 @@ class BernoulliSpec:
 
         ``a[m]``, ``b[m]`` are numbers or arrays of one shape; ``num``
         (``float`` or ``Fraction``) fixes the arithmetic of the law's weights
-        and margins. The pmf table is contracted one margin at a time.
+        and margins. With h = d // 2, the pmf as a (2^(d-h), 2^h) matrix
+        (state i + 2^h j at row j, column i) meets the factor products of the
+        low h margins in one matrix product, whose rows the products of the
+        high d - h weight: 2^d multiply-adds per point.
         """
-        table = [num(p) for p in self.pmf_table()]
-        for f0, f1 in _factors(a, b, [num(p) for p in self.pi]):
-            table = [table[i] * f0 + table[i + 1] * f1 for i in range(0, len(table), 2)]
-        return table[0]
+        f = list(_factors(a, b, [num(p) for p in self.pi]))
+        one = np.full(np.broadcast_shapes(*(np.shape(x) for pair in f for x in pair)), num(1))
+        low, high = _state_products(f[:self.d // 2], one), _state_products(f[self.d // 2:], one)
+        pmf = self.pmf_table() if num is float else np.array([num(p) for p in self.pmf_table()])
+        terms = pmf.reshape(len(high), len(low)) @ low
+        terms *= high
+        return terms.sum(axis=0)
 
     # shared --------------------------------------------------------------
     def pmf_table(self) -> np.ndarray:
@@ -328,8 +348,8 @@ class ExchangeableSumSpec(BernoulliSpec):
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size < 3:
             raise ValueError("need w_0..w_d with d >= 2")
-        self.w = _weights(w, "weights w_j")
         d = w.size - 1
+        self.w = _weights(w, "weights w_j", [math.comb(d, j) for j in range(d + 1)])
         self._w_frac = [Fraction(x) for x in self.w]
         self._pi_frac = sum(j * wj for j, wj in enumerate(self._w_frac)) / d
         # the floor is tested on the exact margin, which its float can round

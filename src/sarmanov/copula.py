@@ -38,6 +38,7 @@ from .kernels import CATALOG_IDS, Kernel, catalog_lookup, custom_kernel
 ORACLE_TOL = -1e-9  # rounding allowance for 2^d-term alternating sums
 TRANSFORMS_KEPT = 64  # generic transforms of catalog kernels kept, by (id, params, r)
 ORACLE_POINTS = 1 << 22  # lattice points the oracle evaluates at most (d = 5 at grid 20)
+MIX_BLOCK = 3072  # points per bern.mix call: its arrays scale with this, not with the batch
 
 
 def admissible_a_interval(k1: Kernel, k2: Kernel) -> tuple[float, float]:
@@ -112,11 +113,15 @@ class SarmanovCopula:
         return self._mix_at(u, lambda p, x: (np.ones_like(x), np.asarray(p.induced.phi(x), dtype=float)))
 
     def _mix_at(self, u, factors) -> float | np.ndarray:
-        """``bern.mix`` with (a_m, b_m) = factors(margin m, column m of the points)."""
+        """``bern.mix`` with (a_m, b_m) = factors(margin m, column m of the
+        points), MIX_BLOCK points at a time."""
         pts, single = np.atleast_2d(np.asarray(u, dtype=float)), np.ndim(u) == 1
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} columns")
-        out = self.bern.mix(*zip(*(factors(p, x) for p, x in zip(self.margins, pts.T))))
+        out = np.empty(len(pts))
+        for i in range(0, len(pts), MIX_BLOCK):
+            cols = pts[i:i + MIX_BLOCK].T
+            out[i:i + MIX_BLOCK] = self.bern.mix(*zip(*(factors(p, x) for p, x in zip(self.margins, cols))))
         return float(out[0]) if single else out
 
     def mixture_cdf_oracle(self, u) -> float:
@@ -192,9 +197,11 @@ def d_increasing_oracle(
         raise DimensionTooLarge(
             f"the oracle's lattice has (grid_n + 1)^d = {(grid_n + 1) ** d} points, "
             f"above {ORACLE_POINTS}; use a smaller grid or d")
-    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    grid = np.linspace(0.0, 1.0, grid_n + 1)
+    pts = np.empty(((grid_n + 1) ** d, d))
+    lattice = pts.reshape([grid_n + 1] * d + [d])  # a view: point (i_1, ..., i_d) in C order
+    for m in range(d):
+        lattice[..., m] = grid.reshape([-1] + [1] * (d - 1 - m))
     vals = np.asarray(cdf(pts), dtype=float).reshape([grid_n + 1] * d)
 
     inc = vals
@@ -214,7 +221,6 @@ def d_increasing_oracle(
     for axis in range(d):
         grounded = max(grounded, float(np.max(np.abs(np.take(vals, 0, axis=axis)))))
     margin = 0.0
-    grid = axes[0]
     for axis in range(d):
         idx = [np.array([grid_n])] * d
         idx[axis] = np.arange(grid_n + 1)

@@ -391,11 +391,14 @@ def catalog_lookup(name: str, params: Mapping[str, float] | None = None) -> Kern
             f"kernel {name!r} takes parameters {list(expected)}, got {sorted(params)}"
         )
     try:
-        return row(**params)
+        k = row(**params)
     except (OverflowError, ZeroDivisionError) as e:
         raise ParamOutOfRange(
             f"kernel {name!r} at {params} has constants beyond the float range ({e})"
         ) from e
+    if not all(map(math.isfinite, (k.Lambda, k.lam, k.kappa))):  # x / subnormal gives inf, no error
+        raise ParamOutOfRange(f"kernel {name!r} at {params} has constants beyond the float range")
+    return k
 
 
 def kernel_area(k: Kernel) -> float:

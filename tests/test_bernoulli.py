@@ -465,6 +465,54 @@ class TestScale:
         assert mixed_moment(spec, [1, 500]) == pytest.approx(1.0, rel=1e-12)
 
 
+def list_fold(spec, a, b, num=float):
+    """E prod_m (a_m + b_m Z_m) by the 2^d-entry list fold, one margin at a
+    time: the reference for the two-block contraction of ``mix``."""
+    table = [num(p) for p in spec.pmf_table()]
+    for f0, f1 in bn._factors(a, b, [num(p) for p in spec.pi]):
+        table = [table[i] * f0 + table[i + 1] * f1 for i in range(0, len(table), 2)]
+    return table[0]
+
+
+def random_full_pmf(d, seed):
+    """A random full pmf law on {0,1}^d, about a quarter of its states empty."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random(1 << d) * (rng.random(1 << d) < 0.75)
+    raw[[0, -1]] += 0.01  # every margin inside (0, 1)
+    return FullPmfSpec(raw / raw.sum()), rng
+
+
+class TestTwoBlockMix:
+    @given(d=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_float_arrays_and_scalars_match_the_list_fold(self, d, seed):
+        # b_m = t_m a_m with f0, f1 >= 0: every term is nonnegative, so the
+        # two summation orders agree in relative terms
+        law, rng = random_full_pmf(d, seed)
+        a = rng.random((d, 7))
+        top = np.minimum(1.0, law.pi / (1.0 - law.pi))
+        b = a * rng.uniform(-top, 1.0, (7, d)).T
+        np.testing.assert_allclose(law.mix(list(a), list(b)), list_fold(law, list(a), list(b)),
+                                   rtol=1e-14, atol=0)
+        scalar = law.mix(a[:, 0].tolist(), b[:, 0].tolist())
+        assert np.ndim(scalar) == 0
+        assert scalar == pytest.approx(list_fold(law, a[:, 0].tolist(), b[:, 0].tolist()), rel=1e-14)
+
+    @given(d=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_fractions_equal_the_list_fold(self, d, seed):
+        law, rng = random_full_pmf(d, seed)
+        a = [Fraction(int(x), 7) for x in rng.integers(-20, 21, d)]
+        b = [Fraction(int(x), 5) for x in rng.integers(-20, 21, d)]
+        got = law.mix(a, b, Fraction)
+        assert isinstance(got, Fraction) and got == list_fold(law, a, b, Fraction)
+
+    def test_one_margin_law(self):
+        law = FullPmfSpec([0.25, 0.75])
+        x = np.array([0.2, 0.9])
+        np.testing.assert_allclose(law.mix([x], [-x]), list_fold(law, [x], [-x]), rtol=1e-15)
+
+
 class TestFrechetConsistency:
     def test_comonotone_maximizes_theta12(self):
         rng = np.random.default_rng(41)

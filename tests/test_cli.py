@@ -75,6 +75,15 @@ class TestCatalog:
         assert byid["checkerboard"]["kappa"] == 0.25
 
 
+def dust_edge(d, j):
+    """Weights whose negative mass is just below -PMF_CLAMP, where a pairwise
+    float sum of their 2^d-entry table reads exactly -PMF_CLAMP."""
+    w = [0.0] * (d + 1)
+    w[0] = w[d] = 0.5000000000005
+    w[j] = -1.0000000000000002e-12
+    return w
+
+
 class TestValidate:
     def test_admissible_endpoint(self, fgm_config, capsys):
         assert main(["validate", "--config", str(fgm_config)]) == 0
@@ -201,13 +210,17 @@ class TestValidate:
     @pytest.mark.parametrize("w, code", [
         ([0.5, -1.5e-12, 0.0, 0.5 + 1.5e-12], 1),  # w_1 / 3 is dust, w_1 is not
         ([0.5 - 6e-13, -4e-13, 0.0, 0.5 + 1e-12], 0),  # dust
+        (dust_edge(8, 1), 1),
+        (dust_edge(10, 1), 1),
+        (dust_edge(10, 9), 1),
     ])
     def test_exported_pmf_keeps_its_verdict(self, tmp_path, capsys, w, code):
-        law = self.law_config(tmp_path / "w.json", 3, {"variant": "exchangeable_sum", "w": w})
+        d = len(w) - 1
+        law = self.law_config(tmp_path / "w.json", d, {"variant": "exchangeable_sum", "w": w})
         assert main(["validate", "--config", str(law), "--format", "csv"]) == code
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         pmf = {bits: float(p) for bits, p in (r.split(",") for r in rows)}
-        table = self.law_config(tmp_path / "pmf.json", 3, {"variant": "full_pmf", "pmf": pmf})
+        table = self.law_config(tmp_path / "pmf.json", d, {"variant": "full_pmf", "pmf": pmf})
         assert main(["validate", "--config", str(table)]) == code
 
     def test_json_beyond_d8_builds_no_pmf(self, tmp_path, capsys, monkeypatch):

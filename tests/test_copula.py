@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -529,6 +530,70 @@ class TestOracle:
 
     def test_default_cap_keeps_d5_at_grid_20(self):
         assert 21 ** 5 <= copula.ORACLE_POINTS < 21 ** 6
+
+
+def _fgm_full_pmf(d, seed):
+    """A random full pmf law with every margin 1/2 (each state shares its mass
+    with its complement) under fgm margins, whose component cdfs F0, F1 are
+    the mixture's factors bit for bit."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random(1 << d) * (rng.random(1 << d) < 0.75)
+    raw[0] += 0.01
+    pmf = raw + raw[::-1]
+    return SarmanovCopula((calibrate_from_kernel(kernel("fgm")),) * d, FullPmfSpec(pmf / pmf.sum())), rng
+
+
+def _density_by_states(c, pts):
+    """E prod_m (1 + phihat_m(u_m) Z_m), summed state by state."""
+    phi = [np.asarray(p.induced.phi(pts[:, m])) for m, p in enumerate(c.margins)]
+    total = np.zeros(len(pts))
+    for s, w in enumerate(c.bern.pmf_table()):
+        term = np.full(len(pts), w)
+        for m, pi in enumerate(c.bern.pi):
+            term *= 1 + phi[m] * ((1 - pi) / pi if (s >> m) & 1 else -1.0)
+        total += term
+    return total
+
+
+class TestBlockedMix:
+    @given(d=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1),
+           u=st.lists(st.just(0.0) | st.floats(2.0 ** -30, 1.0), min_size=30, max_size=30))
+    @settings(max_examples=25, deadline=None)
+    def test_cdf_and_density_match_state_enumeration(self, d, seed, u):
+        # coordinates of 0 or >= 2^-30 keep every term out of the subnormal range
+        c, _ = _fgm_full_pmf(d, seed)
+        pts = np.resize(np.asarray(u), (3, d))
+        oracle = [c.mixture_cdf_oracle(p) for p in pts]
+        np.testing.assert_allclose(c.cdf(pts), oracle, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(c.density(pts), _density_by_states(c, pts), rtol=1e-14, atol=0)
+
+    @given(d=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_block_seams(self, d, seed):
+        # a single point takes BLAS's matrix-vector kernel, a block its
+        # matrix-matrix one: the two agree to rounding, not bit for bit.
+        # Every point next to a block edge is checked, and 64 others
+        c, rng = _fgm_full_pmf(d, seed)
+        b = copula.MIX_BLOCK
+        for n in (b - 1, b, b + 1):
+            pts = rng.random((n, d))
+            idx = np.union1d([0, 1, b - 2, b - 1, b, n - 1], rng.integers(0, n, 64))
+            idx = idx[idx < n]
+            for f in (c.cdf, c.density):
+                np.testing.assert_allclose(f(pts)[idx], [f(pts[i]) for i in idx], rtol=1e-14, atol=0)
+
+    def test_d16_memory_scales_with_the_block(self):
+        # the list fold held 2^15 arrays of n floats at its first step: 5.2 GB here
+        c, rng = _fgm_full_pmf(16, 3)
+        pts = rng.random((20_000, 16))
+        tracemalloc.start()
+        try:
+            vals = c.cdf(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+        assert np.all(vals <= pts.min(axis=1)) and np.all(vals >= 0.0)  # the Frechet bounds
 
 
 class TestFarlieConversion:

@@ -96,6 +96,7 @@ RATIONAL_ROWS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @example(("hkii", {"q": 4}))
 @example(("lee_power", {"k": 3}))
+@example(("bkb", {"p": 1.1877299400577389e-289, "q": 1.09375}))  # lam overflows to -inf
 @given(RATIONAL_ROWS)
 def test_float_constants_are_exact_values_rounded_once(row):
     # each constant is written once; where it is rational its float is the
@@ -118,7 +119,9 @@ class TestFloatRange:
         ("bkb", {"p": 0.5, "q": 400.5}),
         ("bkb", {"p": 1e-300, "q": 2}),
         ("bkb", {"p": 1e-300, "q": 2.5}),
-    ], ids=["lai_xie_overflow", "bkb_overflow", "bkb_exact_overflow", "bkb_zero_division"])
+        ("bkb", {"p": 1.1877299400577389e-289, "q": 1.09375}),  # lam's division gives -inf
+    ], ids=["lai_xie_overflow", "bkb_overflow", "bkb_exact_overflow", "bkb_zero_division",
+            "bkb_infinite_quotient"])
     def test_constants_beyond_float_range_are_out_of_range(self, name, params):
         with pytest.raises(ParamOutOfRange, match="beyond the float range"):
             catalog_lookup(name, params)
