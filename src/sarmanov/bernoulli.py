@@ -103,7 +103,7 @@ def _subset_key(S, d: int) -> tuple[int, ...]:
     idx = tuple(sorted(set(int(m) for m in S)))
     if len(idx) < 2:
         raise SubsetTooSmall(f"mixed moments need |S| >= 2, got {idx}")
-    if not idx or idx[0] < 1 or idx[-1] > d:
+    if idx[0] < 1 or idx[-1] > d:
         raise ValueError(f"subset {idx} not within 1..{d}")
     return idx
 
@@ -193,10 +193,10 @@ class BernoulliSpec:
     def _pmf_table(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _moment(self, idx: tuple[int, ...]) -> float:
+    def _moment(self, idx: tuple[int, ...], num=Fraction) -> float:
         # theta_S = E prod_{m in S} Z_m: (a_m, b_m) = (0, 1) on S, (1, 0) off it
         on = [m + 1 in idx for m in range(self.d)]
-        return float(self.mix([int(not x) for x in on], [int(x) for x in on], Fraction))
+        return float(self.mix([int(not x) for x in on], [int(x) for x in on], num))
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -285,13 +285,7 @@ class FullPmfSpec(BernoulliSpec):
         return self._pmf
 
     def _moment(self, idx):
-        states = np.arange(self._pmf.size)
-        factor = np.ones(self._pmf.size)
-        for m1 in idx:
-            m = m1 - 1
-            z1 = (1.0 - self.pi[m]) / self.pi[m]
-            factor *= np.where((states >> m) & 1 == 1, z1, -1.0)
-        return float(np.dot(self._pmf, factor))
+        return super()._moment(idx, float)  # exact Fractions over 2^d states cost seconds at d = 20
 
     def admissibility_check(self) -> AdmissibilityCertificate:
         bad = _violations(self._pmf)
@@ -309,15 +303,9 @@ class BivariateThetaSpec(FullPmfSpec):
 
     def __init__(self, pi1: float, pi2: float, theta: float):
         self.theta = float(theta)
-        q = pi1 * pi2 * theta
-        # states: bit0 = I1, bit1 = I2
-        pmf = np.array([
-            (1 - pi1) * (1 - pi2) + q,  # (0,0)
-            pi1 * (1 - pi2) - q,        # (1,0)
-            (1 - pi1) * pi2 - q,        # (0,1)
-            pi1 * pi2 + q,              # (1,1)
-        ])
-        super().__init__(pmf)
+        # the independent table of states (0,0), (1,0), (0,1), (1,1), then theta's share
+        pmf = _state_products([(1 - pi1, pi1), (1 - pi2, pi2)], np.ones(()))
+        super().__init__(pmf + pi1 * pi2 * theta * np.array([1, -1, -1, 1]))
         # margins are exact by construction; overwrite any pmf rounding
         self.pi = np.array([pi1, pi2], dtype=float)
 
@@ -349,7 +337,8 @@ class ExchangeableSumSpec(BernoulliSpec):
         if w.size < 3:
             raise ValueError("need w_0..w_d with d >= 2")
         d = w.size - 1
-        self.w = _weights(w, "weights w_j", [math.comb(d, j) for j in range(d + 1)])
+        self._comb = [math.comb(d, j) for j in range(d + 1)]  # states with j ones
+        self.w = _weights(w, "weights w_j", self._comb)
         self._w_frac = [Fraction(x) for x in self.w]
         self._pi_frac = sum(j * wj for j, wj in enumerate(self._w_frac)) / d
         # the floor is tested on the exact margin, which its float can round
@@ -385,14 +374,12 @@ class ExchangeableSumSpec(BernoulliSpec):
             for k in range(m + 1, 0, -1):  # c[k] = 0 for k > m + 1
                 c[k] = c[k] * f0 + c[k - 1] * f1
             c[0] = c[0] * f0
-        return sum((num(wj) / math.comb(self.d, j) * c[j] for j, wj in enumerate(self._w_frac) if wj),
+        return sum((num(wj) / self._comb[j] * c[j] for j, wj in enumerate(self._w_frac) if wj),
                    num(0))
 
     def _pmf_table(self) -> np.ndarray:
-        states = np.arange(1 << self.d)
-        ones = np.array([int(s).bit_count() for s in states])
-        denom = np.array([math.comb(self.d, j) for j in range(self.d + 1)], dtype=float)
-        return self.w[ones] / denom[ones]
+        ones = np.bitwise_count(np.arange(1 << self.d))
+        return (self.w / np.array(self._comb, dtype=float))[ones]
 
     def palindromic_check(self) -> bool:
         if abs(float(self.pi[0]) - 0.5) > 1e-12:
@@ -432,12 +419,7 @@ class IndependentSpec(BernoulliSpec):
         return {}
 
     def _pmf_table(self) -> np.ndarray:
-        states = np.arange(1 << self.d)
-        pmf = np.ones(states.size)
-        for m in range(self.d):
-            on = (states >> m) & 1 == 1
-            pmf *= np.where(on, self.pi[m], 1.0 - self.pi[m])
-        return pmf
+        return _state_products([(1 - p, p) for p in self.pi], np.ones(()))
 
     def admissibility_check(self) -> AdmissibilityCertificate:
         return self._certificate(note="product law; nonnegative by construction")
@@ -451,12 +433,16 @@ class ComonotoneSpec(BernoulliSpec):
 
     kind = "comonotone"
 
-    def mix(self, a, b, num=float):
-        # V between the (k+1)-th and the k-th largest pi switches on the k
-        # margins with the largest pi: d + 1 states, each a prefix product
-        # of f1 times a suffix product of f0 in descending-pi order
+    def _thresholds(self, num):
+        """The margins in descending-pi order and the levels 1, their pi, 0:
+        V between levels k + 1 and k switches on the first k of them."""
         order = np.argsort(-self.pi, kind="stable")
-        levels = [num(1)] + [num(self.pi[m]) for m in order] + [num(0)]
+        return order, [num(1)] + [num(self.pi[m]) for m in order] + [num(0)]
+
+    def mix(self, a, b, num=float):
+        # d + 1 states, each a prefix product of f1 times a suffix product of
+        # f0 in descending-pi order
+        order, levels = self._thresholds(num)
         f0, f1 = zip(*_factors([a[m] for m in order], [b[m] for m in order], levels[1:-1]))
         on = list(accumulate(f1, mul, initial=num(1)))
         off = list(accumulate(reversed(f0), mul, initial=num(1)))[::-1]
@@ -464,16 +450,10 @@ class ComonotoneSpec(BernoulliSpec):
                     for k in range(self.d + 1) if levels[k] > levels[k + 1]), num(0))
 
     def _pmf_table(self) -> np.ndarray:
-        order = np.argsort(-self.pi, kind="stable")  # descending pi
-        levels = np.concatenate(([1.0], self.pi[order], [0.0]))
-        pmf = np.zeros(1 << self.d)
-        mask = 0
-        for k in range(self.d + 1):
-            prob = levels[k] - levels[k + 1]
-            if k > 0:
-                mask |= 1 << int(order[k - 1])
-            if prob > 0:
-                pmf[mask] += prob
+        order, levels = self._thresholds(float)
+        levels, pmf = np.array(levels), np.zeros(1 << self.d)
+        # not -np.diff(levels): a tie's 0 would be written as -0
+        pmf[np.cumsum([0] + [1 << int(m) for m in order])] = levels[:-1] - levels[1:]
         return pmf
 
     def admissibility_check(self) -> AdmissibilityCertificate:

@@ -54,11 +54,12 @@ def _fmt12(x: float) -> str:
 @contextlib.contextmanager
 def _opened(out_path: str | None):
     """The --out file opened for writing, or stdout when there is none."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    try:
+        opened = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise ConfigError(f"cannot write {out_path}: {e}") from e
+    with opened as fh:
+        yield fh
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -202,7 +203,7 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
         payload["theta_interval"] = list(cert.theta_interval) if cert.theta_interval else None
         ks = [p.base_kernel for p in model.margins]
         if all(k is not None for k in ks):
-            payload["a"] = model.a
+            payload["a"] = model.a if cfg.a is None else cfg.a  # as given, not via theta
             payload["a_interval"] = list(admissible_a_interval(ks[0], ks[1]))
     return payload, bool(cert.passed)
 
@@ -289,7 +290,7 @@ def cmd_sample(args) -> int:
         "quantile_routes": [pair.quantile_routes for pair in margins],
     }
     if args.out:
-        with open(args.out + ".meta.json", "w") as fh:
+        with _opened(args.out + ".meta.json") as fh:
             json.dump(meta, fh, indent=2)
     return 0
 

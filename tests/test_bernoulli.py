@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -527,3 +528,95 @@ class TestFrechetConsistency:
                     best = max(best, spec.mixed_moment([1, 2]))
             como = comonotone([pi1, pi2]).mixed_moment([1, 2])
             assert best <= como + 1e-9
+
+
+# the per-state table loops the laws used before their tables came from the
+# routines of ``mix``: references, compared byte for byte
+def independent_table_loop(pis):
+    states = np.arange(1 << pis.size)
+    pmf = np.ones(states.size)
+    for m in range(pis.size):
+        pmf *= np.where((states >> m) & 1 == 1, pis[m], 1.0 - pis[m])
+    return pmf
+
+
+def comonotone_table_loop(pis):
+    order = np.argsort(-pis, kind="stable")
+    levels = np.concatenate(([1.0], pis[order], [0.0]))
+    pmf = np.zeros(1 << pis.size)
+    mask = 0
+    for k in range(pis.size + 1):
+        if k > 0:
+            mask |= 1 << int(order[k - 1])
+        if levels[k] - levels[k + 1] > 0:
+            pmf[mask] += levels[k] - levels[k + 1]
+    return pmf
+
+
+def exchangeable_table_loop(w):
+    d = w.size - 1
+    ones = np.array([int(s).bit_count() for s in range(1 << d)])
+    return w[ones] / np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)[ones]
+
+
+def bivariate_table_literal(pi1, pi2, theta):
+    q = pi1 * pi2 * theta
+    return np.array([(1 - pi1) * (1 - pi2) + q, pi1 * (1 - pi2) - q,
+                     (1 - pi1) * pi2 - q, pi1 * pi2 + q])
+
+
+def margins_of_kind(rng, d, kind):
+    if kind == "distinct":
+        return rng.uniform(0.02, 0.98, d)
+    if kind == "tied":
+        return rng.choice(rng.uniform(0.02, 0.98, 3), d)
+    return rng.integers(1, 16, d) / 16.0  # dyadic
+
+
+def assert_same_table(got, want):
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got) & (got == 0)), "a table entry is -0"
+
+
+class TestTablesFromMixRoutines:
+    @pytest.mark.parametrize("kind", ["distinct", "tied", "dyadic"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 11, 16])
+    def test_independent_and_comonotone_tables_equal_the_state_loops(self, d, kind):
+        rng = np.random.default_rng(1000 * d + len(kind))
+        for _ in range(3):
+            pis = margins_of_kind(rng, d, kind)
+            assert_same_table(independent(pis).pmf_table(), independent_table_loop(pis))
+            assert_same_table(comonotone(pis).pmf_table(), comonotone_table_loop(pis))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 6, 10, 13, 16])
+    def test_exchangeable_table_equals_the_state_loop(self, d, sparse):
+        rng = np.random.default_rng(d + 100 * sparse)
+        for dyadic in (False, True):
+            w = rng.random(d + 1) * (rng.random(d + 1) < (0.4 if sparse else 1.0))
+            w[[0, -1]] += 0.01
+            if dyadic:
+                w = np.round(w * 64) / 64 + np.eye(d + 1)[0] / 64
+            law = ExchangeableSumSpec(w / w.sum())
+            assert_same_table(law.pmf_table(), exchangeable_table_loop(law.w))
+
+    def test_bivariate_tables_equal_the_literal_entries(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            pi1, pi2 = rng.uniform(1e-3, 1 - 1e-3, 2)
+            if rng.random() < 0.2:
+                pi1 = rng.integers(1, 8) / 8
+            lo, hi = theta_range_bivariate(pi1, pi2)
+            theta = rng.choice([lo, hi, 0.0]) if rng.random() < 0.1 else rng.uniform(1.1 * lo, 1.1 * hi)
+            # through FullPmfSpec, which clears the dust of a theta at its bounds
+            assert_same_table(BivariateThetaSpec(pi1, pi2, theta).pmf_table(),
+                              FullPmfSpec(bivariate_table_literal(pi1, pi2, theta)).pmf_table())
+
+    @given(d=st.integers(3, 10), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_full_table_moments_are_within_1e_15_of_exact(self, d, seed):
+        law, rng = random_full_pmf(d, seed)
+        S = sorted(rng.choice(np.arange(1, d + 1), size=rng.integers(2, d + 1), replace=False))
+        on = [m + 1 in S for m in range(d)]
+        exact = law.mix([int(not x) for x in on], [int(x) for x in on], Fraction)
+        assert abs(Fraction(law.mixed_moment(S)) - exact) <= 1e-15  # an exact difference

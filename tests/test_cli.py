@@ -18,6 +18,7 @@ import sarmanov
 from sarmanov import cli
 from sarmanov.bernoulli import ExchangeableSumSpec
 from sarmanov.cli import CSV_BLOCK_ROWS, main
+from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS
 from sarmanov.sampling import SampleBatch
 
 EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1 - 2 ** -53,
@@ -108,6 +109,21 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["theta"] == theta
+
+    def test_a_in_is_a_out_over_catalog_pairs(self, tmp_path, capsys):
+        # the copula keeps theta = a / (Lambda1 Lambda2); Lambda1 Lambda2 theta
+        # read -0.23399999999999999 for fgm x lee_power(k=2) at a = -0.234
+        rng = np.random.default_rng(23)
+        kernel = lambda i: {"kernel": {"id": i, "params": DEFAULT_PARAMS.get(i, {})}}  # noqa: E731
+        path = tmp_path / "a.json"
+        cases = [("fgm", "lee_power", -0.234)] + [
+            (k1, k2, round(float(rng.uniform(-1, 1)), int(rng.integers(1, 5))))
+            for k1 in CATALOG_IDS for k2 in CATALOG_IDS]
+        for k1, k2, a in cases:
+            path.write_text(json.dumps({"schema": "sarmanov-config/1", "d": 2, "a": a,
+                                        "margins": [kernel(k1), kernel(k2)]}))
+            assert main(["validate", "--config", str(path)]) in (0, 1)
+            assert json.loads(capsys.readouterr().out)["a"] == a, (k1, k2, a)
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -797,6 +813,24 @@ class TestConfigRules:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flags[0]} must be an integer >= ")
+
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    @pytest.mark.parametrize("command", ["catalog", "validate", "bounds", "sample", "measure",
+                                         "certify"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, command, where):
+        out = tmp_path / "no" / "such" / "x" if where == "missing_directory" else tmp_path
+        cfg = write_config(tmp_path / "c.json", n=1000)  # measure takes n >= 1000
+        config = [] if command == "catalog" else ["--config", str(cfg)]
+        assert main([command, *config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_sidecar_is_usage_error(self, fgm_config, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        (tmp_path / "rows.csv.meta.json").mkdir()
+        assert main(["sample", "--config", str(fgm_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.meta.json: ")
 
     @pytest.mark.parametrize("grid", ["0", "-1", "-3"])
     def test_certify_grid_below_one_is_usage_error(self, fgm_config, capsys, grid):

@@ -472,6 +472,11 @@ def _box_increment(cdf, lo, hi):
     return float(cdf(np.where(on, hi, lo)) @ (-1.0) ** (lo.size - on.sum(axis=1)))
 
 
+def _comonotone_copula(kernels):
+    pairs = tuple(calibrate_from_kernel(k) for k in kernels)
+    return SarmanovCopula(pairs, comonotone([p.pi for p in pairs]))
+
+
 class TestOracle:
     def test_admissible_fgm_passes(self):
         c = make_bivariate(kernel("fgm"), kernel("fgm"), a=1.0)
@@ -513,6 +518,38 @@ class TestOracle:
         vals = [v for _, v in rep.worst_cells]
         assert vals == sorted(vals)
         assert len(rep.worst_cells) == 100
+
+    @pytest.mark.parametrize("d, grid_n, build", [
+        (2, 50, lambda: make_bivariate(kernel("checkerboard"), kernel("checkerboard"), a=1.0)),
+        (2, 4, lambda: make_bivariate(kernel("checkerboard"), kernel("checkerboard"), a=1.0)),
+        (3, 20, lambda: SarmanovCopula(tuple(calibrate_from_kernel(kernel("fgm")) for _ in range(3)),
+                                       epd(3))),
+        (4, 6, lambda: _comonotone_copula([kernel("fgm"), kernel("hki", p=2)] * 2)),
+        (2, 1, lambda: make_bivariate(kernel("fgm"), kernel("fgm"), a=1.0)),  # one cell
+    ], ids=["checkerboard2_grid50", "checkerboard2_grid4", "epd3", "comonotone_tied", "one_cell"])
+    def test_worst_cells_are_a_stable_sort_of_every_increment(self, d, grid_n, build):
+        # the reference sorts the whole lattice by value, then by cell index
+        c = build()
+        rep = d_increasing_oracle(c.cdf, d, grid_n)
+        grid = np.linspace(0.0, 1.0, grid_n + 1)
+        pts = np.stack(np.meshgrid(*[grid] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        inc = c.cdf(pts).reshape([grid_n + 1] * d)
+        for axis in range(d):
+            inc = np.diff(inc, axis=axis)
+        flat = inc.reshape(-1)
+        order = np.lexsort((np.arange(flat.size), flat))[:100]
+        want = [(tuple(int(i) for i in np.unravel_index(j, inc.shape)), float(flat[j])) for j in order]
+        assert [cell for cell, _ in rep.worst_cells] == [cell for cell, _ in want]
+        assert [v for _, v in rep.worst_cells] == [v for _, v in want]
+        assert rep.min_cell == want[0][0] and rep.min_increment == want[0][1]
+        assert len(want) == 1 or len({v for _, v in want}) < len(want)  # the case has ties
+
+    def test_nan_increments_sort_last(self):
+        nan_corner = lambda P: np.where(P.min(axis=1) > 0.9, np.nan, P.prod(axis=1))  # noqa: E731
+        rep = d_increasing_oracle(nan_corner, 2, 10)
+        vals = [v for _, v in rep.worst_cells]
+        assert len(vals) == 100 and not np.isnan(rep.min_increment)
+        assert np.all(np.isnan(vals[-1:])) and vals[:-1] == sorted(vals[:-1])
 
     @pytest.mark.parametrize("grid_n", [0, -3])
     def test_grid_below_one_refused(self, grid_n):
