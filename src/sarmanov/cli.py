@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -53,13 +54,20 @@ def _fmt12(x: float) -> str:
 
 @contextlib.contextmanager
 def _opened(out_path: str | None):
-    """The --out file opened for writing, or stdout when there is none."""
+    """The --out file opened for writing, or stdout when there is none. A
+    file that this call creates is removed again when the block raises."""
+    created = bool(out_path) and not os.path.exists(out_path)
     try:
         opened = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
     except OSError as e:
         raise ConfigError(f"cannot write {out_path}: {e}") from e
-    with opened as fh:
-        yield fh
+    try:
+        with opened as fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(out_path)
+        raise
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -271,46 +279,47 @@ def _draw(args):
 
 
 def cmd_sample(args) -> int:
-    cfg, model, batch = _draw(args)
-    margins = (model.base if isinstance(model, PoweredCopula) else model).margins
-    columns = [f"u{m + 1}" for m in range(batch.d)]
-    with _opened(args.out) as fh:
+    # both files are opened before the draw, and removed if it is refused
+    sidecar = _opened(args.out + ".meta.json") if args.out else contextlib.nullcontext()
+    with _opened(args.out) as fh, sidecar as side:
+        cfg, model, batch = _draw(args)
+        margins = (model.base if isinstance(model, PoweredCopula) else model).margins
+        columns = [f"u{m + 1}" for m in range(batch.d)]
         fh.write(",".join(columns) + "\n")
         fh.flush()  # the header leaves the text layer before the rows
         _write_rows(fh.buffer, batch.rows)
-    meta = {
-        "schema": SCHEMA,
-        "config_hash": cfg.canonical_hash(),
-        "n": batch.n, "seed": batch.seed, "d": batch.d,
-        "columns": columns,
-        # byte identity holds for equal (config, n, seed, sampler, numpy version)
-        "sampler": SAMPLER_VERSION,
-        "sarmanov_version": __version__, "numpy_version": np.__version__,
-        # per margin, [F0, F1]: a closed-form inverse or invert_cdf
-        "quantile_routes": [pair.quantile_routes for pair in margins],
-    }
-    if args.out:
-        with _opened(args.out + ".meta.json") as fh:
-            json.dump(meta, fh, indent=2)
+        if side is not None:
+            json.dump({
+                "schema": SCHEMA,
+                "config_hash": cfg.canonical_hash(),
+                "n": batch.n, "seed": batch.seed, "d": batch.d,
+                "columns": columns,
+                # byte identity holds for equal (config, n, seed, sampler, numpy version)
+                "sampler": SAMPLER_VERSION,
+                "sarmanov_version": __version__, "numpy_version": np.__version__,
+                # per margin, [F0, F1]: a closed-form inverse or invert_cdf
+                "quantile_routes": [pair.quantile_routes for pair in margins],
+            }, side, indent=2)
     return 0
 
 
 def cmd_measure(args) -> int:
-    cfg, model, batch = _draw(args)
-    analytic_model = model if isinstance(model, SarmanovCopula) else None
-    rep = measures.empirical_measures(batch, analytic_model)
-    rep.copula_id = cfg.canonical_hash()
-    if args.format == "csv":
-        lines = ["measure,analytic,empirical,se,z"]
-        for key in sorted(set(rep.analytic) | set(rep.empirical)):
-            cells = [key] + [
-                "" if src.get(key) is None else f"{src[key]:.12g}"
-                for src in (rep.analytic, rep.empirical, rep.se, rep.z)
-            ]
-            lines.append(",".join(cells))
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        _write(json.dumps(rep.to_dict(), indent=2) + "\n", args.out)
+    with _opened(args.out) as fh:  # opened before the draw, and removed if it is refused
+        cfg, model, batch = _draw(args)
+        analytic_model = model if isinstance(model, SarmanovCopula) else None
+        rep = measures.empirical_measures(batch, analytic_model)
+        rep.copula_id = cfg.canonical_hash()
+        if args.format == "csv":
+            lines = ["measure,analytic,empirical,se,z"]
+            for key in sorted(set(rep.analytic) | set(rep.empirical)):
+                cells = [key] + [
+                    "" if src.get(key) is None else f"{src[key]:.12g}"
+                    for src in (rep.analytic, rep.empirical, rep.se, rep.z)
+                ]
+                lines.append(",".join(cells))
+            fh.write("\n".join(lines) + "\n")
+        else:
+            fh.write(json.dumps(rep.to_dict(), indent=2) + "\n")
     return 0
 
 

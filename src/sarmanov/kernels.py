@@ -100,11 +100,9 @@ class Kernel:
 
 
 def sin_asym_slope_root() -> float:
-    """Root y of y*tan(y) = 2 on (0, pi/2); locates the steepest descent of
-    the asymmetric sine kernel."""
-    from scipy.optimize import brentq
-
-    return float(brentq(lambda y: y * math.tan(y) - 2.0, 1e-12, _PI / 2 - 1e-9, xtol=1e-14))
+    """Root y of y*tan(y) = 2 on (0, pi/2), where the asymmetric sine kernel
+    descends steepest: Brent's double on [1e-12, pi/2 - 1e-9] at xtol 1e-14."""
+    return 1.0768739863118038  # 0x1.13ae03791f524p+0
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +400,9 @@ def catalog_lookup(name: str, params: Mapping[str, float] | None = None) -> Kern
 
 
 def kernel_area(k: Kernel) -> float:
-    """Signed area integral of g over [0, 1] by adaptive quadrature: the
-    anti-typo oracle for the stored ``k.kappa``."""
+    """Signed area integral of g over [0, 1] by ``quad01``'s adaptive
+    Gauss-Legendre rules, split at ``k.breakpoints``: the anti-typo oracle
+    for the stored ``k.kappa``."""
     return quad01(k.g, k.breakpoints)
 
 
@@ -416,10 +415,10 @@ def custom_kernel(
     area and sign; an explicit pair's induced kernel is built here too.
 
     Slope bounds come from extremization of ``phi`` on SLOPE_GRID points
-    (with golden-section refinement) when it is given, otherwise from second-order
-    differences of g tabulated on the grid; kappa from adaptive quadrature,
-    or the trapezoid rule over the grid points for tabulated input. The zero
-    kernel is allowed and flagged degenerate.
+    with a golden-section polish (``scan_extrema``) when it is given,
+    otherwise from second-order differences of g tabulated on the grid;
+    kappa from ``quad01``, or the trapezoid rule over the grid points for
+    tabulated input. The zero kernel is allowed and flagged degenerate.
 
     Raises NotAnchored when g(0) or g(1) is nonzero beyond 1e-9;
     DegenerateKernel when g is NaN or infinite on its grid (the table, or

@@ -7,14 +7,19 @@ splits are placed at declared breakpoints.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 QUAD_TOL = 1e-12
+QUAD_NODES = 20  # Gauss-Legendre nodes per panel
+QUAD_PANELS = 200  # quad01 splits no further than this many panels
 SLOPE_GRID = 200_001  # uniform scan used before local refinement
 REFINE_XTOL = 1e-10
+GOLDEN = 0.61803399  # 2 / (1 + sqrt 5) to the digits scipy's golden search uses
+GOLDEN_STEPS = 5000
 BISECT_ITERS = 60  # bisect_cdf's default: 2^-60 width on [0, 1]
 TABLE_BITS = 12  # invert_cdf tabulates F on 2^12 + 1 points
 XTOL_BITS = 44  # and returns hi of a bracket 2^-44 wide, below the 1e-12 target
@@ -32,45 +37,57 @@ _cache_lock = threading.Lock()
 
 
 def quad01(f: Callable, breakpoints: Sequence[float] = (), tol: float = QUAD_TOL) -> float:
-    """Integrate f over [0, 1] with adaptive quadrature.
+    """Integrate a vectorized f over [0, 1] by adaptive Gauss-Legendre rules.
 
-    Interior breakpoints force panel boundaries so piecewise kernels
-    (checkerboard, two-slope) integrate at full accuracy.
+    Interior breakpoints are the first panel edges, so piecewise kernels
+    (checkerboard, two-slope) integrate at full accuracy. A panel keeps the
+    sum of the QUAD_NODES-point rules on its halves when it agrees with the
+    rule on the whole panel to tol times the panel's width, and is halved
+    otherwise. Past QUAD_PANELS panels, open panels keep that sum unchecked.
     """
-    from scipy.integrate import quad
-
-    pts = sorted(p for p in breakpoints if 0.0 < p < 1.0)
-    val, _ = quad(
-        lambda x: float(f(x)), 0.0, 1.0,
-        points=pts or None, epsabs=tol, epsrel=tol, limit=200,
-    )
-    return val
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    edges = np.unique([0.0, *(p for p in breakpoints if 0.0 < p < 1.0), 1.0])
+    lo, hi, kept = edges[:-1], edges[1:], []
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        a, b = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
+        xs = ((a + b) / 2)[:, None] + ((b - a) / 2)[:, None] * nodes
+        whole, left, right = np.split((b - a) / 2 * (np.asarray(f(xs), dtype=float) @ weights), 3)
+        split = np.abs(left + right - whole) > tol * (hi - lo)
+        split &= len(kept) + lo.size + np.count_nonzero(split) <= QUAD_PANELS
+        kept.extend((left + right)[~split])
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+    return math.fsum(kept)
 
 
 def _refine_extremum(f: Callable, lo: float, mid: float, hi: float, maximize: bool) -> float:
     """Golden-section polish of a bracketed extremum; returns the extremal value.
 
-    Falls back to the grid value when the bracket is invalid (flat or
-    discontinuous f), which is exact for the piecewise-constant derivatives.
+    The steps are those of scipy's ``minimize_scalar(method="golden")`` with
+    xtol REFINE_XTOL: the same constant, update order and stopping test, and
+    at most GOLDEN_STEPS steps, so the result keeps scipy's bits. It returns
+    the grid value when f(mid) does not beat both ends (flat or discontinuous
+    f), which is exact for the piecewise-constant derivatives.
     """
-    from scipy.optimize import minimize_scalar
-
     sign = -1.0 if maximize else 1.0
-    fm = sign * float(f(mid))
-    if not (fm < sign * float(f(lo)) and fm < sign * float(f(hi))):
+    h = lambda x: sign * float(f(x))  # noqa: E731  the polish minimizes h
+    fm = h(mid)
+    if not (fm < h(lo) and fm < h(hi)):
         return float(f(mid))
-    try:
-        res = minimize_scalar(
-            lambda x: sign * float(f(x)),
-            bracket=(lo, mid, hi),
-            method="golden",
-            options={"xtol": REFINE_XTOL},
-        )
-    except (ValueError, RuntimeError):
-        return float(f(mid))
-    x = min(max(float(res.x), lo), hi)
-    cand = float(f(x))
-    grid = float(f(mid))
+    x0, x3, c = lo, hi, 1.0 - GOLDEN
+    x1, x2 = ((mid, mid + c * (hi - mid)) if abs(hi - mid) > abs(mid - lo)
+              else (mid - c * (mid - lo), mid))
+    f1, f2 = h(x1), h(x2)
+    for _ in range(GOLDEN_STEPS):
+        if abs(x3 - x0) <= REFINE_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, GOLDEN * x2 + c * x3
+            f1, f2 = f2, h(x2)
+        else:
+            x3, x2, x1 = x2, x1, GOLDEN * x1 + c * x0
+            f2, f1 = f1, h(x1)
+    cand, grid = float(f(min(max(float(x1 if f1 < f2 else x2), lo), hi))), float(f(mid))
     return max(cand, grid) if maximize else min(cand, grid)
 
 

@@ -826,11 +826,32 @@ class TestConfigRules:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: ")
 
-    def test_unwritable_sidecar_is_usage_error(self, fgm_config, tmp_path, capsys):
+    def test_unwritable_sidecar_is_usage_error(self, fgm_config, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(cli, "sample", lambda *args: draws.append(args))
         out = tmp_path / "rows.csv"
         (tmp_path / "rows.csv.meta.json").mkdir()
         assert main(["sample", "--config", str(fgm_config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}.meta.json: ")
+        assert draws == [] and not out.exists()  # the CSV opened first is removed again
+
+    @pytest.mark.parametrize("command", ["sample", "measure"])
+    def test_unwritable_out_is_refused_before_the_draw(self, fgm_config, tmp_path, capsys,
+                                                       monkeypatch, command):
+        draws = []
+        monkeypatch.setattr(cli, "sample", lambda *args: draws.append(args))
+        out = tmp_path / "no" / "x.csv"
+        assert main([command, "--config", str(fgm_config), "--n", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert draws == []
+
+    @pytest.mark.parametrize("command", ["sample", "measure"])
+    def test_refused_draw_leaves_no_files(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "gap.json", a=-0.4, r=2, n=1000)  # the base law is refused
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "law fails nonnegativity" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.json"]
 
     @pytest.mark.parametrize("grid", ["0", "-1", "-3"])
     def test_certify_grid_below_one_is_usage_error(self, fgm_config, capsys, grid):
@@ -867,6 +888,31 @@ class TestConfigRules:
 
 
 class TestSubprocessEntry:
+    def test_kernel_constants_load_no_scipy_solver(self, tmp_path):
+        # slope polish, areas and the sin_asym root are computed in the package
+        cfg = write_config(tmp_path / "sin2.json", a=0.1, r=2, n=2000,
+                           margins=[{"kernel": {"id": "sin"}}] * 2)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import sarmanov.cli\n"
+            "from sarmanov.copula import farlie_to_sarmanov, transform_kernel\n"
+            "from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup\n"
+            "for name in CATALOG_IDS:\n"
+            "    k = catalog_lookup(name, DEFAULT_PARAMS.get(name, {}))\n"
+            "    transform_kernel(k, 2), transform_kernel(k, 3)\n"
+            "farlie_to_sarmanov(lambda u: 1 - np.asarray(u, float), alpha=0.6)\n"
+            "for command in ('validate', 'sample'):\n"
+            f"    out = {str(tmp_path)!r} + '/' + command\n"
+            f"    assert sarmanov.cli.main([command, '--config', {str(cfg)!r}, '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+            "             (['scipy', 'optimize'], ['scipy', 'integrate'])))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=src_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         res = subprocess.run(
             [sys.executable, "-m", "sarmanov", "catalog"],
