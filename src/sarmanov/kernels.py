@@ -36,7 +36,7 @@ from .errors import (
     UnboundedDerivative,
     UnknownKernel,
 )
-from .numerics import SLOPE_GRID, quad01, scan_extrema, sign_changes, tabulated_slope
+from .numerics import SLOPE_GRID, beta, ndtr, ndtri, quad01, scan_extrema, sign_changes, tabulated_slope
 
 ANCHOR_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
@@ -129,12 +129,10 @@ def _pow(base: Fraction, e: Fraction):
 
 def _beta(x: Fraction, y: Fraction):
     """B(x, y) = (x-1)! (y-1)! / (x+y-1)!, exact for integers x, y in
-    [1, EXACT_MAX]; scipy's float otherwise."""
+    [1, EXACT_MAX]; ``numerics.beta``'s float otherwise."""
     if all(v.denominator == 1 and 1 <= v <= EXACT_MAX for v in (x, y)):
         m, n = int(x), int(y)
         return Fraction(math.factorial(m - 1) * math.factorial(n - 1), math.factorial(m + n - 1))
-    from scipy.special import beta
-
     return beta(float(x), float(y))
 
 
@@ -258,8 +256,6 @@ def _row_lee_exponential() -> Kernel:
 
 
 def _row_norm_lee() -> Kernel:
-    from scipy.special import ndtr, ndtri
-
     c = math.exp(2.0 / 3.0) / math.sqrt(3.0)
     s3 = math.sqrt(3.0)
 
@@ -277,7 +273,7 @@ def _row_norm_lee() -> Kernel:
         "norm_lee", {},
         g=g, phi=phi,
         Lambda=1.0 / (_E - c), lam=-s3 * math.exp(-2.0 / 3.0),
-        kappa=c * (ndtr(1.0 / s3) - 0.5),
+        kappa=c * 0.5 * math.erf(math.sqrt(1.0 / 6.0)),  # c (Phi(1 / sqrt 3) - 1/2)
         sign_constant=False,  # dips below zero near the origin
     )
 

@@ -32,9 +32,9 @@ SE_GROUPS = 40  # disjoint sections used for standard errors
 
 
 def __getattr__(name):
-    # ``stats`` is scipy.stats, imported on first access. Nothing in the
-    # package uses it: perfbench's tracer wraps it when it installs, and this
-    # goes when the tracer stops doing so
+    """``measures.stats`` is scipy.stats, imported on first access: the package's one
+    import of scipy. Its only user is perfbench's tracer, which wraps it when it
+    installs; nothing in the package reads it, and it goes when the tracer stops."""
     if name == "stats":
         from scipy import stats
 

@@ -1,5 +1,5 @@
 """Shared numeric helpers: quadrature, extrema refinement, tabulated slopes,
-vectorized cdf inversion.
+vectorized cdf inversion, the normal cdf and quantile, and the beta function.
 
 All kernels handled here are smooth or piecewise smooth on [0, 1]; quadrature
 splits are placed at declared breakpoints.
@@ -26,11 +26,18 @@ XTOL_BITS = 44  # and returns hi of a bracket 2^-44 wide, below the 1e-12 target
 FLAT_BITS = 8  # cells where F rises by less than 2^-8 of their width are bisected
 ILLINOIS_STEPS = 8  # regula falsi steps before bisection takes over
 CHUNK_ROWS = 1 << 13  # rows refined at a time, which bounds the temporaries
+TREE_POINTS = 1 << 10  # bisect_cdf's F calls take at most this many points (or one per row)
 INVERSE_BITS = 13  # invert_cdf's guesses interpolate F^-1 at 2^13 + 1 uniform levels
 GUESS_POINTS = 6  # nodes each guess interpolates
 POLISH_STEPS = 6  # bisection steps that narrow a node's 2^-44 bracket to 2^-50
 INVERSE_TABLES = 64  # inverse tables kept (64 KB each), keyed by F's table
 
+# the upper half of numpy's leggauss(QUAD_NODES) (odd nodes, even weights): no numpy.polynomial
+_GAUSS = np.array("""0.07652652113349734 0.22778585114164507 0.37370608871541955 0.5108670019508271
+0.636053680726515 0.7463319064601508 0.8391169718222188 0.912234428251326 0.9639719272779138
+0.993128599185095 0.15275338713072628 0.14917298647260424 0.1420961093183824 0.1316886384491769
+0.1181945319615186 0.1019301198172407 0.08327674157670471 0.06267204833410879 0.040601429800386446
+0.017614007139150893""".split(), dtype=float).reshape(2, -1)
 _inverses: dict[int, int] = {}  # hash of F's table -> row of _nodes, least recently used first
 _nodes = np.empty((0, 0))  # one block of INVERSE_TABLES rows, allocated at the first build
 _cache_lock = threading.Lock()
@@ -45,8 +52,8 @@ def quad01(f: Callable, breakpoints: Sequence[float] = (), tol: float = QUAD_TOL
     rule on the whole panel to tol times the panel's width, and is halved
     otherwise. Past QUAD_PANELS panels, open panels keep that sum unchecked.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
-    edges = np.unique([0.0, *(p for p in breakpoints if 0.0 < p < 1.0), 1.0])
+    nodes, weights = np.concatenate((_GAUSS[:, ::-1] * [[-1.0], [1.0]], _GAUSS), axis=1)
+    edges = np.array(sorted({0.0, *(p for p in breakpoints if 0.0 < p < 1.0), 1.0}))  # no numpy.ma
     lo, hi, kept = edges[:-1], edges[1:], []
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -138,15 +145,32 @@ def bisect_cdf(F: Callable, q: np.ndarray, iters: int = BISECT_ITERS,
     F must be nondecreasing with F(lo) < q <= F(hi) (on [0, 1]: F(0) = 0,
     F(1) = 1). The left-crossing convention makes quantiles of flat cdf
     segments deterministic (left endpoint of the segment).
+
+    F is called once per k levels, at the 2^k - 1 midpoints they can visit (each formed as
+    bisection forms it), k as large as rows (2^k - 1) <= TREE_POINTS allows.
     """
     q = np.asarray(q, dtype=float)
-    lo, hi = np.full(q.shape, lo, dtype=float), np.full(q.shape, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(F(mid)) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return hi
+    lo, hi = np.full(q.shape, lo, dtype=float).ravel(), np.full(q.shape, hi, dtype=float).ravel()
+    n, flat = q.size, q.ravel()
+    depth = max(1, (TREE_POINTS // max(n, 1) + 1).bit_length() - 1)
+    while iters > 0:
+        k = min(depth, iters)
+        iters, size = iters - k, n << k
+        # row r's interval i spans left[i n + r] to right[i n + r], i's low bits its
+        # path's first steps: each level appends the mids, so left[n:] lists them by level
+        left, right = np.empty(size), np.empty(size)
+        left[:n], right[-n:] = lo, hi
+        for m in [n << j for j in range(k)]:
+            mid = left[m:2 * m]
+            np.add(left[:m], right[size - m:], out=mid)
+            mid *= 0.5
+            right[size - 2 * m:size - m] = mid
+        below = (np.asarray(F(left[n:]), dtype=float).reshape((1 << k) - 1, n) < flat).reshape(-1)
+        at = np.arange(n)
+        for m in [n << j for j in range(k)]:
+            np.add(at, m, out=at, where=below[at + (m - n)])
+        lo, hi = left[at], right[at]
+    return hi.reshape(q.shape)
 
 
 def bracket_search(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -341,3 +365,112 @@ def ks_statistic(u: np.ndarray) -> float:
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(grid_hi - u), np.max(u - grid_lo)))
+
+
+def beta(x: float, y: float) -> float:
+    """Euler's B(x, y), x, y > 0, by cephes' branches on ``math.gamma``. Gamma(x + y) at the
+    rounded sum s is moved by psi(s) (x + y - s): that rounding costs hundreds of ulp near 100."""
+    a, b = max(x, y), min(x, y)
+    if a > 1e6 * b and a > 1e6:  # lgamma(a + b) - lgamma(a) would cancel
+        w = b * (1.0 - b)
+        return math.exp(math.lgamma(b) - b * math.log(a) + w / (2.0 * a)
+                        + w * (1.0 - 2.0 * b) / (12.0 * a * a) - w * w / (12.0 * a ** 3))
+    s = a + b
+    shift = ((a - s) + b) * (0.5 / (s + 1.0) + 1.0 / s - math.log1p(s))  # -psi(s) (a + b - s)
+    if s > 171.0:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(s) + shift)
+    ga, gb, gs = math.gamma(a), math.gamma(b), math.gamma(s)
+    r = gb * (ga / gs) if abs(ga - gs) > abs(gb - gs) else ga * (gb / gs)
+    return r + r * shift
+
+
+# (numerator, denominator) coefficients, highest power first, of the rational forms of AS241
+# (Wichura, Appl. Statist. 37, 1988) for Phi^-1 and of Cody (Math. Comp. 23, 1969) for Phi
+_COEFS = np.array("""
+2509.0809287301227 33430.57558358813 67265.7709270087 45921.95393154987 13731.69376550946
+1971.5909503065513 133.14166789178438 3.3871328727963665 5226.495278852854 28729.085735721943
+39307.89580009271 21213.794301586597 5394.196021424751 687.1870074920579 42.31333070160091 1.0
+0.0007745450142783414 0.022723844989269184 0.2417807251774506 1.2704582524523684
+3.6478483247632045 5.769497221460691 4.630337846156546 1.4234371107496835 1.0507500716444169e-09
+0.0005475938084995345 0.015198666563616457 0.14810397642748008 0.6897673349851
+1.6763848301838038 2.053191626637759 1.0 2.0103343992922881e-07 2.7115555687434876e-05
+0.0012426609473880784 0.026532189526576124 0.29656057182850487 1.7848265399172913
+5.463784911164114 6.657904643501103 2.0442631033899397e-15 1.421511758316446e-07
+1.8463183175100548e-05 0.0007868691311456133 0.014875361290850615 0.1369298809227358
+0.599832206555888 1.0 0.06568233791820745 2.2352520354606837 161.02823106855587
+1067.6894854603709 18154.98125334356 1.0 47.202581904688245 976.0985517377767 10260.932208618979
+45507.78933502673 1.0765576773720192e-08 0.39894151208813466 8.883149794388377 93.50665613217785
+597.2702763948002 2494.5375852903726 6848.190450536283 11602.65143764735 9842.714838383978 1.0
+22.266688044328117 235.387901782625 1519.3775994075547 6485.558298266761 18615.571640885097
+34900.95272114598 38912.00328609327 19685.429676859992 0.023073441764940174 0.215898534057957
+0.12740116116024736 0.022235277870649807 0.0014216191932278934 2.9112874951168793e-05 1.0
+1.284260096144911 0.4682382124808651 0.06598813786892856 0.0037823963320275824
+7.297515550839662e-05
+""".split(), dtype=float)
+_AS241 = _COEFS[:48].reshape(3, 2, 8)
+_CODY = [c.reshape(2, -1) for c in np.split(_COEFS[48:], [10, 28])]
+
+
+def _ratio(x: np.ndarray, coefs, scale=None) -> np.ndarray:
+    """num(x) [* scale] / den(x) by Horner's rule in place (a leading 1.0 costs no product)."""
+    acc = [x + c[1] if c[0] == 1.0 else c[0] * x + c[1] for c in coefs]
+    for k in range(2, coefs[0].size):
+        for a, c in zip(acc, coefs):
+            a *= x
+            a += c[k]
+    if scale is not None:
+        acc[0] *= scale
+    return np.divide(*acc, out=acc[0])
+
+
+def ndtri(p):
+    """Standard normal quantile Phi^-1(p) elementwise by AS241, in the order of
+    ``statistics.NormalDist().inv_cdf``: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    shape, p = p.shape, p.reshape(-1)
+    with np.errstate(all="ignore"):
+        q = p - 0.5
+        r = q * q
+        x = _ratio(np.subtract(0.180625, r, out=r), _AS241[0], q)
+        tail = (np.abs(q) > 0.425).nonzero()[0]
+        if tail.size:
+            pt = p[tail]
+            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+            xt = _ratio(r - 1.6, _AS241[1])
+            far = (r > 5.0).nonzero()[0]
+            if far.size:
+                xt[far] = np.where(r[far] == np.inf, np.inf, _ratio(r[far] - 5.0, _AS241[2]))
+            x[tail] = np.copysign(xt, q[tail])
+    return x.reshape(shape)[()]
+
+
+def ndtr(x):
+    """Standard normal cdf Phi(x) elementwise by Cody's forms: the middle one on every
+    point (1 - Phi(-x) above 0), the central and lower-tail ones patched in."""
+    x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.reshape(-1)
+    with np.errstate(all="ignore"):
+        y = np.minimum(np.abs(x), 64.0)  # Phi(-64) is 0 in doubles
+        out = _times_gauss(y, _ratio(y, _CODY[1]))
+        far = (x < -(32.0 ** 0.5)).nonzero()[0]
+        if far.size:
+            yf, s = y[far], 1.0 / (y[far] * y[far])
+            out[far] = _times_gauss(yf, (0.3989422804014327 - s * _ratio(s, _CODY[2])) / yf)
+        out = np.where(x > 0.0, 1.0 - out, out)  # a masked subtract is slower on mixed signs
+        at = (y <= 0.66291).nonzero()[0]
+        xc = x[at]
+        out[at] = 0.5 + xc * _ratio(xc * xc, _CODY[0])
+    return out.reshape(shape)[()]
+
+
+def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r exp(-y^2 / 2) in place as r exp(-xs^2 / 2) exp(-(y - xs)(y + xs) / 2), xs = y
+    truncated to sixteenths: the first exponent is exact, the second small (as in ANORM)."""
+    xs = np.trunc(y * 16.0)
+    xs *= 0.0625
+    r *= np.exp(xs * xs * -0.5)
+    e = y - xs
+    e *= np.add(y, xs, out=xs)
+    e *= -0.5
+    r *= np.exp(e, out=e)
+    return r

@@ -21,10 +21,9 @@ from .calibration import component_quantile
 from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
-#: bumped whenever sample bytes change on purpose (the README lists each
-#: version); 6 = a numeric quantile is a function of (F, q) alone: a row whose
-#: regula falsi bracket has closed keeps it while the rest of its call steps on
-SAMPLER_VERSION = 6
+#: bumped whenever sample bytes change on purpose (the README lists each version);
+#: 7 = norm_lee's g takes the package's normal cdf and quantile (Cody, AS241), not scipy's
+SAMPLER_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ class TestValidate:
         assert float(table["10"]) == 0.0
 
     def test_csv_pmf_export_holds_less_than_its_file(self, tmp_path):
-        # the rows are written CSV_BLOCK_ROWS states at a time, never all at once
+        # the rows are written a block of states at a time, never all at once
         cfg = self.law_config(tmp_path / "d18.json", 18, {"variant": "named", "name": "independent"})
         out = tmp_path / "d18.csv"
         tracemalloc.start()
@@ -186,6 +186,18 @@ class TestValidate:
             tracemalloc.stop()
         assert out.read_bytes().count(b"\n") == 1 + (1 << 18)
         assert peak < out.stat().st_size
+
+    @pytest.mark.parametrize("d, start", [(1, 0), (3, 5), (20, (1 << 20) - 700)])
+    def test_csv_pmf_rows_equal_per_row_formatting(self, d, start):
+        # the f-string loop the vectorized rows replaced, on every kind of
+        # value: 0, -0, subnormal, below 1e-4, the fast range, 1 and beyond
+        rng = np.random.default_rng(d)
+        special = [0.0, -0.0, 5e-324, 2.5e-310, 9.99e-5, 1e-4, 0.5, 1.0, 1.5, -0.25, 1e-300]
+        pmf = np.concatenate([special, rng.uniform(0, 1, 300) ** 8, rng.uniform(0, 1, 300),
+                              np.repeat([1 / 21, 1 / 7], 50)])[:1 << d if d < 10 else None]
+        bits = sarmanov.bernoulli.state_bitstrings(np.arange(start, start + pmf.size), d)
+        expected = "".join(f"{b},{p:.17g}\n" for b, p in zip(bits, pmf.tolist())).encode()
+        assert cli._pmf_csv(pmf, d, start) == expected
 
     def test_d3_named_config(self, tmp_path, capsys):
         cfg = tmp_path / "tri.json"
@@ -305,7 +317,7 @@ class TestSample:
         out = tmp_path / "rows.csv"
         assert main(["sample", "--config", str(fgm_config), "--out", str(out), "--n", "10"]) == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
-        assert meta["sampler"] == 6
+        assert meta["sampler"] == 7
         assert meta["sarmanov_version"] == sarmanov.__version__
         assert meta["numpy_version"] == np.__version__
 
@@ -912,6 +924,36 @@ class TestSubprocessEntry:
                              env=src_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_no_scipy_module_loads(self, tmp_path):
+        # the normal functions and beta are the package's own: with scipy
+        # unimportable, every subcommand runs on norm_lee and on non-integer
+        # bkb and lai_xie, with the exit codes they had when scipy supplied them
+        k = lambda i, **p: {"kernel": {"id": i, **({"params": p} if p else {})}}  # noqa: E731
+        configs = [write_config(tmp_path / f"{name}.json", n=2000, **cfg) for name, cfg in [
+            ("norm_lee", {"theta": 0.3, "a": None, "margins": [k("norm_lee"), k("lee_exponential")]}),
+            ("bkb", {"a": 0.5, "margins": [k("bkb", p=1.5, q=2), k("fgm")]}),
+            ("lai_xie", {"a": 0.5, "margins": [k("lai_xie", a=2.5, b=3.5), k("fgm")]})]]
+        commands = [["validate"], ["validate", "--format", "csv"], ["bounds"], ["sample"],
+                    ["measure"], ["certify"]]
+        runs = [["catalog"]] + [c + ["--config", str(cfg), "--out", str(tmp_path / f"out{i}")]
+                                for cfg in configs for i, c in enumerate(commands)]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import sarmanov.cli\n"
+            "from contextlib import redirect_stdout\n"
+            "import io\n"
+            f"codes = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        codes.append(sarmanov.cli.main(argv))\n"
+            "print(codes)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=src_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == str([0] * len(runs))
 
     def test_module_invocation(self, tmp_path):
         res = subprocess.run(

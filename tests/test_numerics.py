@@ -1,24 +1,28 @@
-"""The package's quadrature, golden-section polish and sin_asym root against
-the scipy routines they stand in for.
+"""The package's quadrature, golden-section polish, sin_asym root, normal
+cdf and quantile, beta function and batched bisection against references.
 
 ``quad01`` must agree with ``scipy.integrate.quad`` to 1e-12 at the same
 points and tolerances, ``_refine_extremum`` must give the bits of
 ``scipy.optimize.minimize_scalar(method="golden")``, and the sin_asym root
-must be Brent's double. scipy is the reference here only: the package loads
-neither scipy module.
+must be Brent's double. ``ndtr``, ``ndtri`` and ``beta`` are held to 50-digit
+mpmath values, and ``bisect_cdf`` to the one-level-per-call loop it replaced.
+scipy and mpmath are references here only: the package loads neither.
 """
 
 import math
+import statistics
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from sarmanov import numerics
+from sarmanov import CopulaConfig
 from sarmanov.copula import _transform_generic
 from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, sin_asym_slope_root
-from sarmanov.numerics import QUAD_NODES, QUAD_TOL, REFINE_XTOL, SLOPE_GRID, quad01
+from sarmanov.numerics import QUAD_NODES, QUAD_TOL, REFINE_XTOL, SLOPE_GRID, bisect_cdf, quad01
 
 POWERS = range(2, 7)
 
@@ -126,6 +130,170 @@ class TestGoldenPolish:
         assert sum(self.check(t.phi) for t in transforms.values()) >= 200
 
 
+def test_quadrature_rule_is_numpys_leggauss():
+    # the rule is kept as constants, so that quad01 imports no numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    rule = np.concatenate((numerics._GAUSS[:, ::-1] * [[-1.0], [1.0]], numerics._GAUSS), axis=1)
+    np.testing.assert_array_equal(rule, [nodes, weights])
+
+
 def test_sin_asym_root_is_brents_double():
     ref = brentq(lambda y: y * math.tan(y) - 2.0, 1e-12, math.pi / 2 - 1e-9, xtol=1e-14)
     assert sin_asym_slope_root() == ref
+
+
+def ulps(got, ref) -> float:
+    """|got - ref| in units of the last place of ref rounded to a double."""
+    return float(abs(mpmath.mpf(float(got)) - ref) / mpmath.mpf(math.ulp(float(ref))))
+
+
+class TestNormal:
+    """Cody's cdf and Wichura's AS241 quantile against mpmath at 50 digits."""
+
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    @staticmethod
+    def quantile(p):
+        """Phi^-1(p) to 50 digits; below 1/2 by root finding, where 1 - 2p
+        would round to 1."""
+        p = mpmath.mpf(float(p))
+        if p >= 0.5:
+            return mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1)
+        return mpmath.findroot(lambda x: mpmath.ncdf(x) - p, float(numerics.ndtri(float(p))))
+
+    def test_ndtri_within_7_ulp(self):
+        # AS241 in doubles reads up to about 6 ulp (5.7 on log-uniform p down
+        # to 1e-300, 4.9 on 20,000 uniform p); scipy's cephes routine 3.9
+        rng = np.random.default_rng(25)
+        p = np.concatenate([rng.uniform(0.0, 1.0, 600), 10.0 ** rng.uniform(-300, 0, 300),
+                            1.0 - 10.0 ** rng.uniform(-16, 0, 300)])
+        got = numerics.ndtri(p)
+        worst = max(ulps(g, self.quantile(x)) for g, x in zip(got, p))
+        assert worst <= 7.0
+
+    def test_ndtri_central_form_is_the_standard_librarys(self):
+        # |p - 1/2| <= 0.425 takes the arithmetic of statistics.NormalDist().inv_cdf
+        # bit for bit (the tails take numpy's log, which may differ from libm's by an ulp)
+        p = np.random.default_rng(24).uniform(0.075, 0.925, 20000)
+        ref = [statistics.NormalDist().inv_cdf(v) for v in p.tolist()]
+        np.testing.assert_array_equal(numerics.ndtri(p), ref)
+
+    def test_ndtr_within_16_ulp(self):
+        # relative to Phi(x) wherever Phi(x) >= 1e-300: Phi(-37.5) keeps its
+        # digits, where scipy's ndtr reads more than a thousand ulp off
+        rng = np.random.default_rng(26)
+        x = np.concatenate([rng.uniform(-37.5, 9.0, 1500), rng.uniform(-1.0, 1.0, 300),
+                            [-37.5, -32 ** 0.5, -0.66291, 0.66291, 32 ** 0.5]])
+        refs = [mpmath.ncdf(mpmath.mpf(float(v))) for v in x]
+        assert max(ulps(g, r) for g, r in zip(numerics.ndtr(x), refs)) <= 16.0
+
+    def test_exact_points(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 64.0, -64.0, 1e300, -1e300])
+        np.testing.assert_array_equal(numerics.ndtr(x), [0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0, 1.0, 0.0])
+        p = np.array([0.0, 1.0, 0.5, np.nan, -0.1, 1.1])
+        np.testing.assert_array_equal(numerics.ndtri(p), [-np.inf, np.inf, 0.0, np.nan, np.nan, np.nan])
+
+    @pytest.mark.parametrize("f, arg", [(numerics.ndtr, 0.3), (numerics.ndtri, 0.3)])
+    def test_scalars_and_shapes(self, f, arg):
+        # as scipy's ufuncs: a float or a 0-d array gives a numpy scalar
+        for a in (arg, np.array(arg)):
+            out = f(a)
+            assert isinstance(out, np.float64) and out == f(np.array([arg]))[0]
+        assert f(np.array([])).shape == (0,)
+        grid = np.linspace(0.01, 0.99, 12).reshape(3, 4)
+        np.testing.assert_array_equal(f(grid), f(grid.ravel()).reshape(3, 4))
+
+    def test_norm_lee_constants(self):
+        # Lambda, lam and pi are closed forms, kappa is c (Phi(3^-1/2) - 1/2):
+        # the first three keep the bits scipy's build gave, kappa within an ulp
+        k = catalog_lookup("norm_lee", {})
+        assert k.Lambda == float.fromhex("0x1.4140e40cd44a4p-1")
+        assert k.lam == float.fromhex("-0x1.c74dae642233dp-1")
+        assert k.Lambda / (k.Lambda - k.lam) == float.fromhex("0x1.a79e3b6a9eb01p-2")
+        assert abs(k.kappa - float.fromhex("0x1.f666e89ea42e7p-3")) <= math.ulp(k.kappa)
+        c = mpmath.exp(mpmath.mpf(2) / 3) / mpmath.sqrt(3)
+        assert ulps(k.kappa, c * (mpmath.ncdf(1 / mpmath.sqrt(3)) - 0.5)) <= 2.0
+
+    def test_norm_lee_scalar_calls(self):
+        # the rectangle oracle and the mixture enumeration call F at scalars
+        cfg = {"schema": "sarmanov-config/1", "d": 2, "theta": 0.3,
+               "margins": [{"kernel": {"id": "norm_lee"}}, {"kernel": {"id": "lee_exponential"}}]}
+        model = CopulaConfig.from_dict(cfg).build()
+        assert model.mixture_cdf_oracle([0.3, 0.6]) == pytest.approx(float(model.cdf(np.array([0.3, 0.6]))),
+                                                                   abs=1e-14)
+
+
+class TestBeta:
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(40):
+            yield
+
+    def test_within_12_ulp(self):
+        # 5.9 here; math.gamma alone reads up to 6.5 ulp, and scipy's beta 635 here
+        rng = np.random.default_rng(27)
+        x, y = rng.uniform(0.05, 80.0, (2, 400))
+        worst = max(ulps(numerics.beta(a, b), mpmath.beta(a, b)) for a, b in zip(x.tolist(), y.tolist()))
+        assert worst <= 12.0
+
+    @pytest.mark.parametrize("a, b, rel", [
+        (2e7, 2.5, 1e-14), (1e9, 0.3, 1e-14), (3e7, 1e-3, 1e-14),  # the asymptotic series
+        (150.5, 90.25, 1e-11), (400.75, 2.5, 1e-11),  # log-gammas past Gamma's range
+    ])
+    def test_large_arguments(self, a, b, rel):
+        ref = mpmath.beta(a, b)
+        assert abs(numerics.beta(a, b) - ref) <= rel * ref
+
+    def test_catalog_areas(self):
+        # bkb and lai_xie at non-integer parameters take the float beta
+        for name, params, ref in [("bkb", {"p": 1.5, "q": 2}, mpmath.beta(2 / 1.5, 3) / 1.5),
+                                  ("lai_xie", {"a": 2.5, "b": 3.5}, mpmath.beta(4.5, 3.5))]:
+            assert ulps(catalog_lookup(name, params).kappa, ref) <= 12.0
+
+
+def reference_bisection(F, q, iters, lo, hi):
+    """The one-level-per-call bisection that bisect_cdf batches."""
+    q = np.asarray(q, dtype=float)
+    lo, hi = np.full(q.shape, lo, dtype=float), np.full(q.shape, hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(F(mid)) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
+class TestBisection:
+    @pytest.mark.parametrize("rows", [1, 4, 17, 85, 341, 342, 2000])
+    def test_equals_one_level_per_call(self, rows):
+        calls = []
+
+        def F(u):
+            calls.append(np.size(u))
+            return u - 0.3 * np.sin(np.pi * u) / np.pi
+
+        q = np.random.default_rng(rows).uniform(0.0, 1.0, rows)
+        got = bisect_cdf(F, q)
+        np.testing.assert_array_equal(got, reference_bisection(F, q, 60, 0.0, 1.0))
+        assert max(calls[:-60]) <= max(numerics.TREE_POINTS, rows)
+        # the batched calls before the reference's 60: fewer calls for fewer rows
+        assert len(calls) - 60 == -(-60 // max(1, (numerics.TREE_POINTS // rows + 1).bit_length() - 1))
+
+    def test_not_monotone(self):
+        # F evaluated with noise is not monotone: the walk repeats bisection's path
+        def F(u):
+            u = np.asarray(u, dtype=float)
+            return u + 1e-3 * np.sin(2e4 * u)
+        q = np.random.default_rng(3).uniform(0.1, 0.9, 7)
+        for iters, lo, hi in ((60, 0.0, 1.0), (48, 0.25, 0.5), (5, np.zeros(7), np.full(7, 0.75))):
+            np.testing.assert_array_equal(bisect_cdf(F, q, iters, lo, hi),
+                                          reference_bisection(F, q, iters, lo, hi))
+
+    def test_scalar_and_shape(self):
+        F = lambda u: np.asarray(u, dtype=float) ** 2  # noqa: E731
+        assert bisect_cdf(F, 0.25).shape == ()
+        assert bisect_cdf(F, 0.25) == reference_bisection(F, 0.25, 60, 0.0, 1.0)
+        q = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        np.testing.assert_array_equal(bisect_cdf(F, q), reference_bisection(F, q, 60, 0.0, 1.0))
