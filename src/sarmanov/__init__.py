@@ -6,8 +6,6 @@ nonnegativity instead of rectangle-increment inequalities, sampling is
 exact, and rank correlations come in closed form.
 """
 
-from types import ModuleType as _ModuleType
-
 from .bernoulli import (
     AdmissibilityCertificate,
     BernoulliSpec,
@@ -70,6 +68,57 @@ from .sampling import SampleBatch, sample, sample_powered
 
 __version__ = "0.1.0"
 
-# the public surface is what the imports above bring in, less the submodules
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = [
+    "AdmissibilityCertificate",
+    "BernoulliSpec",
+    "BivariateThetaSpec",
+    "CATALOG_IDS",
+    "CalibratedPair",
+    "ComonotoneSpec",
+    "CopulaConfig",
+    "DEFAULT_PARAMS",
+    "ExchangeableSumSpec",
+    "FullPmfSpec",
+    "IndependentSpec",
+    "Kernel",
+    "MeasureReport",
+    "OracleReport",
+    "PoweredCopula",
+    "SCHEMA",
+    "SampleBatch",
+    "SarmanovCopula",
+    "admissibility_check",
+    "admissible_a_interval",
+    "build_powered",
+    "calibrate_from_kernel",
+    "catalog_lookup",
+    "comonotone",
+    "component_quantile",
+    "custom_kernel",
+    "d_increasing_oracle",
+    "empirical_measures",
+    "end3",
+    "epd",
+    "explicit_pair",
+    "farlie_to_sarmanov",
+    "independent",
+    "kendall_analytic",
+    "kendall_analytic_exact",
+    "kernel_area",
+    "make_bivariate",
+    "mixed_moment",
+    "normalized_kernel",
+    "orthant_rho",
+    "orthant_rho_exact",
+    "palindromic_check",
+    "reflection_check",
+    "rho_global_bounds",
+    "sample",
+    "sample_indices",
+    "sample_powered",
+    "spearman_analytic",
+    "spearman_analytic_exact",
+    "tail_dependence",
+    "theta_range_bivariate",
+    "transform_kernel",
+]

@@ -127,12 +127,12 @@ def _csv_bytes(flat: np.ndarray, d: int) -> bytes:
     buf[rows, start + 1] = ord(".")
     slow = np.flatnonzero(~fast)
     if slow.size:
-        # each distinct value (by its bits: 0 and -0 print apart) is formatted
-        # once; a structured law's pmf table repeats a few values
-        bits, inverse = np.unique(flat[slow].view(_U64), return_inverse=True)
-        text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-        buf[slow, :24] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)[inverse]  # at most 24
-        start[slow], end[slow] = 0, np.array([len(t) for t in text])[inverse]
+        text = ["%.17g" % v for v in flat[slow].tolist()]
+        size = np.array([len(t) for t in text])
+        at = slow * _ROW - np.cumsum(size) + size
+        buf.reshape(-1)[np.repeat(at, size) + np.arange(size.sum())] = np.frombuffer(
+            "".join(text).encode(), np.uint8)
+        start[slow], end[slow] = 0, size
     sep = np.full(n, ord(","), np.uint8)
     sep[d - 1::d] = ord("\n")
     buf[rows, end] = sep
@@ -216,15 +216,10 @@ def _certificate_payload(cfg: CopulaConfig, model) -> tuple[dict, bool]:
     return payload, bool(cert.passed)
 
 
-def _pmf_csv(pmf: np.ndarray, d: int, start: int) -> bytes:
-    """CSV rows ``bits,p`` of a law's table over {0,1}^d from state ``start``, p as "%.17g"."""
-    text = np.frombuffer(_csv_bytes(pmf, 1), np.uint8)
-    size = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)  # bytes of each p and its newline
-    col = np.arange(-d - 1, size.max(initial=0))  # a row's bytes, its p from column 0
-    rows = np.full((pmf.size, col.size), ord(","), np.uint8)
-    rows[:, :d] = ((np.arange(start, start + pmf.size)[:, None] >> np.arange(d)) & 1) + ord("0")
-    rows[:, d + 1:][col[d + 1:] < size[:, None]] = text
-    return rows[col < size[:, None]].tobytes()
+def _pmf_rows(pmf: np.ndarray, d: int, start: int = 0) -> list[tuple[str, float]]:
+    """(state bitstring, probability) of the entries of ``pmf``, a slice of
+    a law's table over {0,1}^d that begins at state ``start``."""
+    return list(zip(state_bitstrings(np.arange(start, start + pmf.size), d), pmf.tolist()))
 
 
 def cmd_validate(args) -> int:
@@ -232,19 +227,18 @@ def cmd_validate(args) -> int:
     model = cfg.build()
     payload, ok = _certificate_payload(cfg, model)
     if args.format == "csv":
-        # pmf table export: one row per latent state, CSV_BLOCK_ROWS / 4 at a time
+        # pmf table export: one row per latent state, CSV_BLOCK_ROWS states at a time
         if isinstance(model, PoweredCopula):
             raise ConfigError("csv pmf export applies to unpowered laws")
-        pmf, step = model.bern.pmf_table(), CSV_BLOCK_ROWS // 4
+        pmf = model.bern.pmf_table()
         with _opened(args.out) as fh:
             fh.write("state,probability\n")
-            fh.flush()  # the header leaves the text layer before the rows
-            for start in range(0, pmf.size, step):
-                fh.buffer.write(_pmf_csv(pmf[start:start + step], cfg.d, start))
+            for start in range(0, pmf.size, CSV_BLOCK_ROWS):
+                rows = _pmf_rows(pmf[start:start + CSV_BLOCK_ROWS], cfg.d, start)
+                fh.write("".join(f"{bits},{p:.17g}\n" for bits, p in rows))
     else:
         if not isinstance(model, PoweredCopula) and cfg.d <= 8:
-            pmf = model.bern.pmf_table()  # json writes each (bitstring, probability) as an array
-            payload["pmf"] = list(zip(state_bitstrings(np.arange(pmf.size), cfg.d), pmf.tolist()))
+            payload["pmf"] = _pmf_rows(model.bern.pmf_table(), cfg.d)  # json writes each pair as an array
         _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if ok else 1
 

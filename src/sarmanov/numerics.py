@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Callable, Sequence
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -368,98 +370,135 @@ def ks_statistic(u: np.ndarray) -> float:
 
 
 def beta(x: float, y: float) -> float:
-    """Euler's B(x, y), x, y > 0, by cephes' branches on ``math.gamma``. Gamma(x + y) at the
-    rounded sum s is moved by psi(s) (x + y - s): that rounding costs hundreds of ulp near 100."""
-    a, b = max(x, y), min(x, y)
-    if a > 1e6 * b and a > 1e6:  # lgamma(a + b) - lgamma(a) would cancel
-        w = b * (1.0 - b)
-        return math.exp(math.lgamma(b) - b * math.log(a) + w / (2.0 * a)
-                        + w * (1.0 - 2.0 * b) / (12.0 * a * a) - w * w / (12.0 * a ** 3))
-    s = a + b
-    shift = ((a - s) + b) * (0.5 / (s + 1.0) + 1.0 / s - math.log1p(s))  # -psi(s) (a + b - s)
-    if s > 171.0:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(s) + shift)
-    ga, gb, gs = math.gamma(a), math.gamma(b), math.gamma(s)
-    r = gb * (ga / gs) if abs(ga - gs) > abs(gb - gs) else ga * (gb / gs)
-    return r + r * shift
+    """Euler's B(x, y), x, y > 0, as exp(lgamma(x) + lgamma(y) - lgamma(x + y)) in decimal
+    arithmetic with digits to spare past the cancellation, so the double is rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 40 + 2 * len(str(int(max(x, y))))
+        a, b = Decimal(x), Decimal(y)
+        return float((_lgamma(a) + _lgamma(b) - _lgamma(a + b)).exp())
 
 
-# (numerator, denominator) coefficients, highest power first, of the rational forms of AS241
-# (Wichura, Appl. Statist. 37, 1988) for Phi^-1 and of Cody (Math. Comp. 23, 1969) for Phi
-_COEFS = np.array("""
-2509.0809287301227 33430.57558358813 67265.7709270087 45921.95393154987 13731.69376550946
-1971.5909503065513 133.14166789178438 3.3871328727963665 5226.495278852854 28729.085735721943
-39307.89580009271 21213.794301586597 5394.196021424751 687.1870074920579 42.31333070160091 1.0
-0.0007745450142783414 0.022723844989269184 0.2417807251774506 1.2704582524523684
-3.6478483247632045 5.769497221460691 4.630337846156546 1.4234371107496835 1.0507500716444169e-09
-0.0005475938084995345 0.015198666563616457 0.14810397642748008 0.6897673349851
-1.6763848301838038 2.053191626637759 1.0 2.0103343992922881e-07 2.7115555687434876e-05
-0.0012426609473880784 0.026532189526576124 0.29656057182850487 1.7848265399172913
-5.463784911164114 6.657904643501103 2.0442631033899397e-15 1.421511758316446e-07
-1.8463183175100548e-05 0.0007868691311456133 0.014875361290850615 0.1369298809227358
-0.599832206555888 1.0 0.06568233791820745 2.2352520354606837 161.02823106855587
-1067.6894854603709 18154.98125334356 1.0 47.202581904688245 976.0985517377767 10260.932208618979
-45507.78933502673 1.0765576773720192e-08 0.39894151208813466 8.883149794388377 93.50665613217785
-597.2702763948002 2494.5375852903726 6848.190450536283 11602.65143764735 9842.714838383978 1.0
-22.266688044328117 235.387901782625 1519.3775994075547 6485.558298266761 18615.571640885097
-34900.95272114598 38912.00328609327 19685.429676859992 0.023073441764940174 0.215898534057957
-0.12740116116024736 0.022235277870649807 0.0014216191932278934 2.9112874951168793e-05 1.0
-1.284260096144911 0.4682382124808651 0.06598813786892856 0.0037823963320275824
-7.297515550839662e-05
-""".split(), dtype=float)
-_AS241 = _COEFS[:48].reshape(3, 2, 8)
-_CODY = [c.reshape(2, -1) for c in np.split(_COEFS[48:], [10, 28])]
+def _lgamma(z: Decimal) -> Decimal:
+    """log Gamma(z), z > 0: Stirling's series to B_12 at z shifted past 20 (terms below 1e-19)."""
+    shift = Decimal(1)
+    while z < 20:
+        shift, z = shift * z, z + 1
+    series = sum(Decimal(c.numerator) / c.denominator / z ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+    return (z - Decimal("0.5")) * z.ln() - z + _LOG_SQRT_2PI + series - shift.ln()
 
 
-def _ratio(x: np.ndarray, coefs, scale=None) -> np.ndarray:
-    """num(x) [* scale] / den(x) by Horner's rule in place (a leading 1.0 costs no product)."""
-    acc = [x + c[1] if c[0] == 1.0 else c[0] * x + c[1] for c in coefs]
-    for k in range(2, coefs[0].size):
-        for a, c in zip(acc, coefs):
-            a *= x
-            a += c[k]
+_STIRLING = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680), Fraction(1, 1188),
+             Fraction(-691, 360360)]  # B_2k / (2k (2k - 1))
+_LOG_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778341")
+
+
+# Phi^-1 by Cephes' ndtri (Moshier), scipy's routine: for e^-2 < p <= 1 - e^-2 and y = p - 1/2,
+# x = sqrt(2 pi) (y + y y^2 N(y^2) / D(y^2)); nearer 0 or 1, with t = sqrt(-2 log min(p, 1 - p))
+# and z = 1 / t, |x| = t - log(t) / t - z N(z) / D(z), by the near form for t < 8, the far beyond.
+# Each form is (N, D), coefficients from the highest power down.
+_NDTRI_CENTRAL = (
+    (-59.96335010141079, 98.00107541859997, -56.67628574690703, 13.931260938727968, -1.2391658386738125),
+    (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905, -225.46268785411937,
+     200.26021238006066, -82.03722561683334, 15.90562251262117, -1.1833162112133))
+_NDTRI_NEAR = (
+    (4.0554489230596245, 31.525109459989388, 57.16281922464213, 44.08050738932008, 14.684956192885803,
+     2.1866330685079025, -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854),
+    (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075,
+     2.504649462083094, -0.14218292285478779, -0.03808064076915783, -0.0009332594808954574))
+_NDTRI_FAR = (
+    (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.3330346081580755, 0.20148538954917908,
+     0.012371663481782003, 0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09),
+    (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21623699359449663,
+     0.013420400608854318, 0.00032801446468212774, 2.8924786474538068e-06, 6.790194080099813e-09))
+_E_M2 = 0.1353352832366127  # e^-2
+
+# Phi by Cody's forms (Math. Comp. 23, 1969, as in SPECFUN's ANORM): Phi = 1/2 + x N(x^2) / D(x^2)
+# for |x| <= 0.66291; beyond, with y = |x|, Phi(-y) = e^(-y^2 / 2) N(y) / D(y) to sqrt(32) and
+# e^(-y^2 / 2) (1 / sqrt(2 pi) - s N(s) / D(s)) / y, s = 1 / y^2, past it
+_NDTR_CENTRAL = (
+    (0.06568233791820745, 2.2352520354606837, 161.02823106855587, 1067.6894854603709, 18154.98125334356),
+    (1.0, 47.202581904688245, 976.0985517377767, 10260.932208618979, 45507.78933502673))
+_NDTR_MIDDLE = (
+    (1.0765576773720192e-08, 0.39894151208813466, 8.883149794388377, 93.50665613217785,
+     597.2702763948002, 2494.5375852903726, 6848.190450536283, 11602.65143764735, 9842.714838383978),
+    (1.0, 22.266688044328117, 235.387901782625, 1519.3775994075547, 6485.558298266761,
+     18615.571640885097, 34900.95272114598, 38912.00328609327, 19685.429676859992))
+_NDTR_FAR = (
+    (0.023073441764940174, 0.215898534057957, 0.12740116116024736, 0.022235277870649807,
+     0.0014216191932278934, 2.9112874951168793e-05),
+    (1.0, 1.284260096144911, 0.4682382124808651, 0.06598813786892856, 0.0037823963320275824,
+     7.297515550839662e-05))
+
+
+def _poly(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """sum_k coefs[k] x^(n - k) by Horner's rule into a new array (a leading 1.0 costs no product)."""
+    acc = x + coefs[1] if coefs[0] == 1.0 else coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ratio(x: np.ndarray, form: tuple, scale=None) -> np.ndarray:
+    """[scale *] N(x) / D(x) of a form (N, D)."""
+    num = _poly(x, form[0])
     if scale is not None:
-        acc[0] *= scale
-    return np.divide(*acc, out=acc[0])
+        num *= scale
+    return np.divide(num, _poly(x, form[1]), out=num)
 
 
 def ndtri(p):
-    """Standard normal quantile Phi^-1(p) elementwise by AS241, in the order of
-    ``statistics.NormalDist().inv_cdf``: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    """Standard normal quantile Phi^-1(p) elementwise by Cephes' ndtri, with its arithmetic:
+    -inf at 0, inf at 1, NaN outside [0, 1]."""
     p = np.asarray(p, dtype=float)
     shape, p = p.shape, p.reshape(-1)
     with np.errstate(all="ignore"):
-        q = p - 0.5
-        r = q * q
-        x = _ratio(np.subtract(0.180625, r, out=r), _AS241[0], q)
-        tail = (np.abs(q) > 0.425).nonzero()[0]
+        y = p - 0.5
+        y2 = y * y
+        x = _ratio(y2, _NDTRI_CENTRAL, y2)
+        x *= y
+        x += y
+        x *= 2.50662827463100050242  # sqrt(2 pi)
+        tail = ((p <= _E_M2) | (p > 1.0 - _E_M2)).nonzero()[0]
         if tail.size:
             pt = p[tail]
-            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-            xt = _ratio(r - 1.6, _AS241[1])
-            far = (r > 5.0).nonzero()[0]
+            t = np.log(np.minimum(pt, 1.0 - pt))
+            t *= -2.0
+            t = np.sqrt(t, out=t)
+            z = 1.0 / t
+            zr = _ratio(z, _NDTRI_NEAR, z)
+            far = (t >= 8.0).nonzero()[0]
             if far.size:
-                xt[far] = np.where(r[far] == np.inf, np.inf, _ratio(r[far] - 5.0, _AS241[2]))
-            x[tail] = np.copysign(xt, q[tail])
+                zr[far] = _ratio(z[far], _NDTRI_FAR, z[far])
+            xt = t - np.log(t) / t
+            xt -= zr
+            xt[t == np.inf] = np.inf
+            x[tail] = np.copysign(xt, pt - 0.5)
     return x.reshape(shape)[()]
 
 
 def ndtr(x):
-    """Standard normal cdf Phi(x) elementwise by Cody's forms: the middle one on every
-    point (1 - Phi(-x) above 0), the central and lower-tail ones patched in."""
+    """Standard normal cdf Phi(x) elementwise by Cody's forms: the middle one on every point
+    (1 - Phi(-x) above 0), the far and central ones patched in."""
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.reshape(-1)
     with np.errstate(all="ignore"):
-        y = np.minimum(np.abs(x), 64.0)  # Phi(-64) is 0 in doubles
-        out = _times_gauss(y, _ratio(y, _CODY[1]))
+        y = np.abs(x)
+        np.minimum(y, 64.0, out=y)  # Phi(-64) is 0 in doubles
+        out = _ratio(y, _NDTR_MIDDLE)
         far = (x < -(32.0 ** 0.5)).nonzero()[0]
         if far.size:
-            yf, s = y[far], 1.0 / (y[far] * y[far])
-            out[far] = _times_gauss(yf, (0.3989422804014327 - s * _ratio(s, _CODY[2])) / yf)
-        out = np.where(x > 0.0, 1.0 - out, out)  # a masked subtract is slower on mixed signs
+            yf = y[far]
+            s = 1.0 / (yf * yf)
+            out[far] = (0.3989422804014327 - s * _ratio(s, _NDTR_FAR)) / yf
+        out = _times_gauss(y, out)
+        step = np.copysign(0.5, x)
+        step += 0.5  # 1 above 0, else 0: 1 - out or out, with no branch on the sign
+        out = np.subtract(step, np.copysign(out, x, out=out), out=out)
         at = (y <= 0.66291).nonzero()[0]
-        xc = x[at]
-        out[at] = 0.5 + xc * _ratio(xc * xc, _CODY[0])
+        if at.size:
+            xc = x[at]
+            out[at] = 0.5 + _ratio(xc * xc, _NDTR_CENTRAL, xc)
     return out.reshape(shape)[()]
 
 

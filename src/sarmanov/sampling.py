@@ -22,7 +22,7 @@ from .copula import PoweredCopula, SarmanovCopula
 from .rng import stream
 
 #: bumped whenever sample bytes change on purpose (the README lists each version);
-#: 7 = norm_lee's g takes the package's normal cdf and quantile (Cody, AS241), not scipy's
+#: 7 = norm_lee's g takes the package's normal cdf (Cody's forms), not scipy's
 SAMPLER_VERSION = 7
 
 

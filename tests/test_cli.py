@@ -175,7 +175,7 @@ class TestValidate:
         assert float(table["10"]) == 0.0
 
     def test_csv_pmf_export_holds_less_than_its_file(self, tmp_path):
-        # the rows are written a block of states at a time, never all at once
+        # the rows are written CSV_BLOCK_ROWS states at a time, never all at once
         cfg = self.law_config(tmp_path / "d18.json", 18, {"variant": "named", "name": "independent"})
         out = tmp_path / "d18.csv"
         tracemalloc.start()
@@ -186,18 +186,6 @@ class TestValidate:
             tracemalloc.stop()
         assert out.read_bytes().count(b"\n") == 1 + (1 << 18)
         assert peak < out.stat().st_size
-
-    @pytest.mark.parametrize("d, start", [(1, 0), (3, 5), (20, (1 << 20) - 700)])
-    def test_csv_pmf_rows_equal_per_row_formatting(self, d, start):
-        # the f-string loop the vectorized rows replaced, on every kind of
-        # value: 0, -0, subnormal, below 1e-4, the fast range, 1 and beyond
-        rng = np.random.default_rng(d)
-        special = [0.0, -0.0, 5e-324, 2.5e-310, 9.99e-5, 1e-4, 0.5, 1.0, 1.5, -0.25, 1e-300]
-        pmf = np.concatenate([special, rng.uniform(0, 1, 300) ** 8, rng.uniform(0, 1, 300),
-                              np.repeat([1 / 21, 1 / 7], 50)])[:1 << d if d < 10 else None]
-        bits = sarmanov.bernoulli.state_bitstrings(np.arange(start, start + pmf.size), d)
-        expected = "".join(f"{b},{p:.17g}\n" for b, p in zip(bits, pmf.tolist())).encode()
-        assert cli._pmf_csv(pmf, d, start) == expected
 
     def test_d3_named_config(self, tmp_path, capsys):
         cfg = tmp_path / "tri.json"
