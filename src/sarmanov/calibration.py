@@ -161,7 +161,7 @@ def reflection_check(pair: CalibratedPair) -> bool:
     """
     if abs(pair.pi - 0.5) > REFLECTION_TOL:
         return False
-    grid = np.union1d(_GRID, [b for b in pair.breakpoints if 0 < b < 1])
+    grid = np.array(sorted({*_GRID.tolist(), *(b for b in pair.breakpoints if 0 < b < 1)}))  # no numpy.ma
     lhs = np.asarray(pair.F1(grid), dtype=float)
     rhs = 1.0 - np.asarray(pair.F0(1.0 - grid), dtype=float)
     return bool(np.max(np.abs(lhs - rhs)) <= REFLECTION_TOL)

@@ -169,14 +169,14 @@ class MeasureReport:
 
 
 def _sectioned_se(values: np.ndarray, statistic) -> tuple:
-    """(estimate, se). ``statistic`` maps a batch (g, size, ...) to g values
-    on its last axis, after any statistics on leading axes: one call on the
-    full sample, one on all SE_GROUPS disjoint sections (the remainder rows
-    left out), whose spread gives the se. Captures the true estimator
-    variance under dependence at O(n) cost."""
+    """(estimate, se). ``statistic`` maps a batch (g, size, ...) and its index
+    i to g values on its last axis, after any statistics on leading axes: the
+    full sample (i = 0), then all SE_GROUPS disjoint sections (i = 1, the
+    remainder rows left out), whose spread gives the se. Captures the true
+    estimator variance under dependence at O(n) cost."""
     size = values.shape[0] // SE_GROUPS
-    est = statistic(values[None])[..., 0]
-    vals = statistic(values[:size * SE_GROUPS].reshape(SE_GROUPS, size, *values.shape[1:]))
+    est = statistic(values[None], 0)[..., 0]
+    vals = statistic(values[:size * SE_GROUPS].reshape(SE_GROUPS, size, *values.shape[1:]), 1)
     return est.tolist(), (vals.std(axis=-1, ddof=1) / math.sqrt(SE_GROUPS)).tolist()
 
 
@@ -188,16 +188,39 @@ def _first_in_run(sv: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(new, np.arange(sv.shape[-1]), 0), axis=-1)
 
 
-def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (min, max) rank of each value within its row of ``v``
-    (..., s); tied values share both."""
-    s = v.shape[-1]
-    order = np.argsort(v, axis=-1)
-    sv = np.take_along_axis(v, order, axis=-1)
-    first, last = np.empty(v.shape, np.intp), np.empty(v.shape, np.intp)
-    np.put_along_axis(first, order, _first_in_run(sv), axis=-1)
-    np.put_along_axis(last, order, s - 1 - _first_in_run(sv[..., ::-1])[..., ::-1], axis=-1)
-    return first, last
+def _ranks(v: np.ndarray, flat=None) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (min, max) rank of each value within its row of ``v`` (g, s);
+    tied values share both. ``flat`` indexes ``v.reshape(-1)`` in sorted
+    order row by row; it is the rows' argsort when not given. Without ties in
+    ``v`` the two ranks are one array."""
+    g, s = v.shape
+    flat = np.argsort(v, axis=-1) + np.arange(0, g * s, s)[:, None] if flat is None else flat
+    sv = v.reshape(-1)[flat]
+    first = np.empty(g * s, np.intp)
+    if not (sv[:, 1:] == sv[:, :-1]).any():
+        first[flat] = np.arange(s)
+        first = first.reshape(g, s)
+        return first, first
+    last = np.empty(g * s, np.intp)
+    first[flat], last[flat] = _first_in_run(sv), s - 1 - _first_in_run(sv[:, ::-1])[:, ::-1]
+    return first.reshape(g, s), last.reshape(g, s)
+
+
+def _column_ranks(rows: np.ndarray) -> list:
+    """``_ranks`` of each column of ``rows`` (n, d) in the full sample (1, n)
+    and in the SE_GROUPS sections of ``_sectioned_se`` (SE_GROUPS, size), as
+    [full, sections], each a list over columns. Each column is sorted once:
+    a stable partition of its order on the section label (remainder rows
+    last, then dropped) gives every section's order."""
+    size = rows.shape[0] // SE_GROUPS
+    m = size * SE_GROUPS
+    full, sections = [], []
+    for c in rows.T:
+        order = np.argsort(c)
+        part = np.argsort(np.minimum(order // size, SE_GROUPS).astype(np.uint8), kind="stable")[:m]
+        full.append(_ranks(c[None], order[None]))
+        sections.append(_ranks(c[:m].reshape(SE_GROUPS, size), order[part].reshape(SE_GROUPS, size)))
+    return [full, sections]
 
 
 def _spearman_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
@@ -223,21 +246,24 @@ def _inversions(a: np.ndarray) -> np.ndarray:
     values in [0, s): brute force within blocks of leaf <= LEAF elements,
     then a bottom-up merge count over all rows at once. Rows are padded to
     leaf * 2^levels with the fewest levels that fit (20,480 places for
-    s = 20,000), not to a power of two."""
+    s = 20,000), not to a power of two. A merge sorts 2 * value + half, so
+    the low bit marks where the right half's elements went, left first among
+    equals; int32 holds 2 * value + 1 below s = 2^30."""
     g, s = a.shape
     levels = (-(-s // LEAF) - 1).bit_length()
     leaf = -(-s >> levels)  # ceil(s / 2^levels)
-    pad = np.full((g, (leaf << levels) - s), s, a.dtype)  # above every value: adds no pair
-    a = np.concatenate([a, pad], axis=1).reshape(g, -1, leaf)
+    pad = np.full((g, (leaf << levels) - s), s)  # above every value: adds no pair
+    a = np.concatenate([a, pad], axis=1, dtype=np.int32).reshape(g, -1, leaf)
     inv = ((a[..., :, None] > a[..., None, :]) & np.triu(np.ones((leaf, leaf), bool), 1)).sum(axis=(1, 2, 3))
-    a, span = np.sort(a, axis=-1), leaf
+    a, span = 2 * np.sort(a, axis=-1), leaf
     for _ in range(levels):
         a = a.reshape(g, -1, 2 * span)
-        order = np.argsort(a, axis=-1, kind="stable")  # merges the sorted halves, left first among equals
+        a[..., span:] += 1
+        a = np.sort(a, axis=-1, kind="stable")  # a linear merge of the two sorted runs
+        right = a & 1
         # the j-th right-half element, merged to position p, is below span - (p - j) left ones
-        right_pos = (np.arange(2 * span) * (order >= span)).sum(axis=-1)
-        inv += (span * span + span * (span - 1) // 2 - right_pos).sum(axis=-1)
-        a, span = np.take_along_axis(a, order, axis=-1), 2 * span
+        inv += (span * span + span * (span - 1) // 2) * a.shape[1] - (right @ np.arange(2 * span)).sum(-1)
+        a, span = a - right, 2 * span
     return inv
 
 
@@ -245,12 +271,17 @@ def _kendall_rows(rows: np.ndarray, ranks=None) -> np.ndarray:
     """Kendall's tau-b per row of a batch (g, s, 2), with scipy's tie counts
     and formula: NaN when a column is constant. On one row it equals scipy's
     bit for bit. ``ranks`` as for ``_spearman_rows``."""
-    s = rows.shape[1]
+    g, s = rows.shape[:2]
     (x0, x1), (y0, y1) = ranks or map(_ranks, (rows[..., 0], rows[..., 1]))
     xtie, ytie = (x1 - x0).sum(-1) // 2, (y1 - y0).sum(-1) // 2  # tied pairs
-    key = np.sort(x0 * s + y0, axis=-1)  # order by x, then y
-    ntie = (np.arange(s) - _first_in_run(key)).sum(-1)  # pairs tied in both
-    dis = _inversions(key % s)
+    if x0 is x1:  # x is tie-free: y ranks in x order, one scatter; no pair is tied in both
+        key, ntie = np.empty((g, s), np.intp), 0
+        key.reshape(-1)[x0 + np.arange(0, g * s, s)[:, None]] = y0
+    else:
+        key = np.sort(x0 * s + y0, axis=-1)  # order by x, then y
+        ntie = (np.arange(s) - _first_in_run(key)).sum(-1)  # pairs tied in both
+        key = key % s
+    dis = _inversions(key)
     tot = s * (s - 1) // 2
     with np.errstate(divide="ignore", invalid="ignore"):  # a constant column gives 0 / 0
         tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
@@ -263,8 +294,9 @@ def empirical_measures(
 ) -> MeasureReport:
     """Rank-based Spearman/Kendall estimates (d = 2) plus plug-in orthant
     coefficients, each with sectioned standard errors. The full sample and
-    the SE_GROUPS sections take the same batched rank statistics, with ties
-    handled as scipy does (average ranks, tau-b); no scipy module is loaded.
+    the SE_GROUPS sections take the same batched rank statistics, from one
+    sort per column, with ties handled as scipy does (average ranks, tau-b);
+    no scipy module is loaded.
 
     Both orthant estimates are unbiased O(n) sample functionals:
     integral of Pi dC is the mean of prod(U_m), and integral of C du equals
@@ -289,17 +321,14 @@ def empirical_measures(
         rep.analytic["rho_plus"] = rho_p
 
     if d == 2:
-        def rank_statistics(r):
-            ranks = [_ranks(r[..., 0]), _ranks(r[..., 1])]  # one ranking of each column serves both
-            return np.stack([_spearman_rows(r, ranks), _kendall_rows(r, ranks)])
-
+        ranks = _column_ranks(rows)  # one ranking of each column serves both, in every batch
         (rep.empirical["rho_s"], rep.empirical["tau"]), (rep.se["rho_s"], rep.se["tau"]) = _sectioned_se(
-            rows, rank_statistics)
+            rows, lambda r, i: np.stack([_spearman_rows(r, ranks[i]), _kendall_rows(r, ranks[i])]))
 
     coef = (d + 1) / (2 ** d - (d + 1))
     for key, vals in (("rho_plus", rows.prod(axis=1)), ("rho_minus", (1.0 - rows).prod(axis=1))):
         rep.empirical[key], rep.se[key] = _sectioned_se(
-            vals, lambda v: coef * (2 ** d * v.mean(axis=-1) - 1.0))
+            vals, lambda v, _: coef * (2 ** d * v.mean(axis=-1) - 1.0))
 
     for key, emp in rep.empirical.items():
         if key in rep.analytic and rep.se.get(key, 0.0) > 0.0:

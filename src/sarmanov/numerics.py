@@ -19,6 +19,7 @@ QUAD_TOL = 1e-12
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel
 QUAD_PANELS = 200  # quad01 splits no further than this many panels
 SLOPE_GRID = 200_001  # uniform scan used before local refinement
+SCAN_BLOCK = 1 << 13  # scan_extrema's f calls take at most this many points
 REFINE_XTOL = 1e-10
 GOLDEN = 0.61803399  # 2 / (1 + sqrt 5) to the digits scipy's golden search uses
 GOLDEN_STEPS = 5000
@@ -101,13 +102,18 @@ def _refine_extremum(f: Callable, lo: float, mid: float, hi: float, maximize: bo
 
 
 def scan_extrema(f: Callable) -> tuple[float, float]:
-    """(sup, inf) of f on [0, 1]: a SLOPE_GRID-point uniform scan plus local golden polish."""
+    """(sup, inf) of f on [0, 1]: a SLOPE_GRID-point uniform scan, SCAN_BLOCK
+    points per call of f, plus local golden polish. The scan keeps argmax's
+    and argmin's first index, and a NaN wins both."""
     xs = np.linspace(0.0, 1.0, SLOPE_GRID)
-    vals = np.asarray(f(xs), dtype=float)
-    imax = int(np.argmax(vals))
-    imin = int(np.argmin(vals))
-    sup = float(vals[imax])
-    inf = float(vals[imin])
+    ext = []  # per block: (max, its index, min, its index)
+    for i in range(0, SLOPE_GRID, SCAN_BLOCK):
+        vals = np.asarray(f(xs[i:i + SCAN_BLOCK]), dtype=float)
+        j, k = int(np.argmax(vals)), int(np.argmin(vals))
+        ext.append((vals[j], i + j, vals[k], i + k))
+    top, at_top, low, at_low = zip(*ext)
+    j, k = int(np.argmax(top)), int(np.argmin(low))
+    sup, imax, inf, imin = float(top[j]), at_top[j], float(low[k]), at_low[k]
     if 0 < imax < SLOPE_GRID - 1:
         sup = max(sup, _refine_extremum(f, xs[imax - 1], xs[imax], xs[imax + 1], True))
     if 0 < imin < SLOPE_GRID - 1:

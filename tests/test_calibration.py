@@ -1,5 +1,7 @@
 """Calibrated pairs: mixture identity, quantiles, reflection symmetry."""
 
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarmanov import numerics
+from sarmanov import calibration, numerics
 from sarmanov.calibration import (
     calibrate_from_kernel,
     component_quantile,
@@ -196,6 +198,27 @@ class TestReflection:
         pair = pair_for("legendre2")
         assert pair.pi == pytest.approx(1 / 3)
         assert not reflection_check(pair)
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_verdict_is_the_union1d_grids(self, name):
+        pair = pair_for(name)
+        grid = np.union1d(calibration._GRID, [b for b in pair.breakpoints if 0 < b < 1])
+        tol = calibration.REFLECTION_TOL
+        ref = abs(pair.pi - 0.5) <= tol and bool(np.max(np.abs(pair.F1(grid) - (1.0 - pair.F0(1.0 - grid)))) <= tol)
+        assert reflection_check(pair) == ref
+
+    def test_imports_no_numpy_ma(self):
+        # a float np.union1d imports numpy.ma (about 15 ms) on first use
+        code = ("import sys\n"
+                "from sarmanov.calibration import calibrate_from_kernel, reflection_check\n"
+                "from sarmanov.kernels import catalog_lookup\n"
+                "assert reflection_check(calibrate_from_kernel(catalog_lookup('checkerboard')))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestQuantiles:

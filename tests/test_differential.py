@@ -48,7 +48,7 @@ from sarmanov.measures import (
     orthant_rho,
     orthant_rho_exact,
 )
-from sarmanov.sampling import sample
+from sarmanov.sampling import SampleBatch, sample
 
 ORACLE_GRID = {2: 16, 3: 8}
 
@@ -350,6 +350,38 @@ def test_empirical_measures_equal_sectioned_scipy_loop(kernel, n):
     for key, (est, se) in ref.items():
         assert rep.empirical[key] == pytest.approx(est, rel=1e-15, abs=0), key
         assert rep.se[key] == pytest.approx(se, rel=1e-15, abs=0), key
+
+
+@given(n=st.sampled_from([1000, 1039, 20_011]), seed=st.integers(0, 2**32 - 1),
+       lean=st.floats(-1.0, 1.0), col=st.integers(0, 1),
+       kind=st.sampled_from(("continuous", "tied", "one_tied", "remainder_tied", "constant")))
+@settings(max_examples=40, deadline=None)
+def test_empirical_rank_measures_equal_sectioned_scipy_loop(n, seed, lean, col, kind):
+    # the full sample and the sections share one sort per column; ties take
+    # the rank path of tied data, batch by batch, wherever they fall
+    rng = np.random.default_rng(seed)
+    rows = rng.random((n, 2))
+    toward = rows[:, 0] if lean > 0 else 1 - rows[:, 0]
+    rows[:, 1] = (1 - abs(lean)) * rows[:, 1] + abs(lean) * toward
+    if kind == "tied":
+        rows = np.floor(rows * 7) / 7
+    elif kind == "one_tied":
+        rows[:, col] = np.floor(rows[:, col] * 30) / 30
+    elif kind == "remainder_tied":  # the last row, left out of every section, repeats the first
+        assume(n % SE_GROUPS)
+        rows[-1] = rows[0]
+    elif kind == "constant":
+        rows[:, col] = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant column
+        ref = {key: sectioned_loop(rows, lambda r, f=f: f(r[:, 0], r[:, 1]).statistic)
+               for key, f in (("rho_s", spearmanr), ("tau", kendalltau))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = empirical_measures(SampleBatch(rows=rows, seed=0))
+    for key, (est, se) in ref.items():
+        assert rep.empirical[key] == pytest.approx(est, rel=1e-15, abs=0, nan_ok=True), key
+        assert rep.se[key] == pytest.approx(se, rel=1e-15, abs=0, nan_ok=True), key
 
 
 @pytest.mark.parametrize("name", CATALOG_IDS)

@@ -254,6 +254,24 @@ class TestEmpirical:
         assert d["analytic"]["lambda_l"] == 0.0
         assert set(d["empirical"]) == {"rho_s", "tau", "rho_minus", "rho_plus"}
 
+    @pytest.mark.parametrize("n", [1000, 20_011])
+    def test_tie_path_gives_the_tie_free_paths_floats(self, monkeypatch, n):
+        # a tie-free column's min and max ranks are one array; two equal
+        # arrays send Kendall's tau down the tie path (sort, tie counts)
+        c = make_bivariate(kernel("fgm"), kernel("sin"), a=0.8)
+        batch = sample(c, n, seed=4)
+        fast = empirical_measures(batch, c)
+        ranks = measures._ranks
+
+        def two_arrays(v, flat=None):
+            first, last = ranks(v, flat)
+            assert first is last
+            return first, last.copy()
+
+        monkeypatch.setattr(measures, "_ranks", two_arrays)
+        tied = empirical_measures(batch, c)
+        assert (tied.empirical, tied.se) == (fast.empirical, fast.se)
+
     def test_small_batch_rejected(self):
         batch = SampleBatch(rows=np.random.default_rng(0).random((500, 2)), seed=0)
         with pytest.raises(BatchTooSmall):

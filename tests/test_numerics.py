@@ -20,7 +20,8 @@ from scipy.optimize import brentq, minimize_scalar
 from sarmanov import numerics
 from sarmanov import CopulaConfig
 from sarmanov.copula import _transform_generic
-from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, sin_asym_slope_root
+from sarmanov.errors import DegenerateKernel
+from sarmanov.kernels import CATALOG_IDS, DEFAULT_PARAMS, catalog_lookup, custom_kernel, sin_asym_slope_root
 from sarmanov.numerics import QUAD_NODES, QUAD_TOL, REFINE_XTOL, SLOPE_GRID, bisect_cdf, quad01
 
 POWERS = range(2, 7)
@@ -127,6 +128,47 @@ class TestGoldenPolish:
 
     def test_transforms(self, transforms):
         assert sum(self.check(t.phi) for t in transforms.values()) >= 200
+
+
+def one_array_scan(f):
+    """The reference (sup, inf): f called once on all SLOPE_GRID points, then the same polish."""
+    xs = np.linspace(0.0, 1.0, SLOPE_GRID)
+    vals = np.asarray(f(xs), dtype=float)
+    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
+    sup, inf = float(vals[imax]), float(vals[imin])
+    if 0 < imax < SLOPE_GRID - 1:
+        sup = max(sup, numerics._refine_extremum(f, xs[imax - 1], xs[imax], xs[imax + 1], True))
+    if 0 < imin < SLOPE_GRID - 1:
+        inf = min(inf, numerics._refine_extremum(f, xs[imin - 1], xs[imin], xs[imin + 1], False))
+    return sup, inf
+
+
+class TestScan:
+    plateaus = {  # extremes reached at several grid points, and NaN in one block or in two
+        "plateaus": lambda u: np.clip(np.sin(5 * np.pi * np.asarray(u, float)), -0.9, 0.9),
+        "nan_late": lambda u: np.where(np.asarray(u) > 0.99, np.nan, np.cos(7 * np.asarray(u, float))),
+        "nan_twice": lambda u: np.where(np.abs(np.asarray(u) - 0.5) > 0.45, np.nan, np.asarray(u, float)),
+    }
+
+    def check(self, f):
+        sizes = []
+        got = numerics.scan_extrema(lambda u: sizes.append(np.size(u)) or f(u))
+        assert max(sizes) <= numerics.SCAN_BLOCK
+        np.testing.assert_array_equal(got, one_array_scan(f))
+
+    @pytest.mark.parametrize("name", [*CATALOG_IDS, *plateaus])
+    def test_blocks_keep_the_one_array_scan(self, name):
+        self.check(self.plateaus[name] if name in self.plateaus else default_kernel(name).phi)
+
+    def test_transforms(self, transforms):
+        for t in transforms.values():
+            self.check(t.phi)
+
+    def test_nan_phi_is_degenerate(self):
+        # argmax and argmin take a NaN as the extreme, so the slope check sees it
+        with pytest.raises(DegenerateKernel, match="derivative extremes"):
+            custom_kernel(lambda u: np.asarray(u, float) * (1.0 - np.asarray(u, float)),
+                          phi=lambda u: np.where(np.asarray(u) > 0.99, np.nan, np.ones_like(np.asarray(u, float))))
 
 
 def test_quadrature_rule_is_numpys_leggauss():
